@@ -21,6 +21,8 @@
 #include <vector>
 
 #include "codec/wire.hpp"
+#include "fastcast/fastcast.hpp"
+#include "ftskeen/ftskeen.hpp"
 #include "harness/cluster.hpp"
 #include "harness/live_cluster.hpp"
 #include "harness/runtime.hpp"
@@ -36,6 +38,7 @@
 #include "stats/histogram.hpp"
 #include "wal/log.hpp"
 #include "wbcast/messages.hpp"
+#include "wbcast/protocol.hpp"
 
 namespace wbam {
 namespace {
@@ -931,6 +934,80 @@ void BM_WbcastDeliveryRoundTrip(benchmark::State& state) {
     state.SetLabel(harness::to_string(g_bench_runtime));
 }
 BENCHMARK(BM_WbcastDeliveryRoundTrip)->Unit(benchmark::kMicrosecond);
+
+// --- GC round cost vs. retained history --------------------------------------
+//
+// One GC round plus one retry tick at group 0's leader of a 2-group x
+// 1-replica cluster that retains `retained` compacted stubs, with a fixed
+// set of 8 cross-group messages stuck in flight (group 1 is down, so they
+// are retried every tick). Each iteration advances the simulation by one
+// interval, which fires exactly those two timers (elections are off and
+// client retries are far apart). The GC round walks only the compaction
+// queue and the retry tick only the in-flight index, so the cost should be
+// flat in `retained`; a full entry-table scan would make it linear.
+std::pair<std::size_t, std::size_t> retention_at(harness::Cluster& c,
+                                                 harness::ProtocolKind kind,
+                                                 ProcessId p) {
+    switch (kind) {
+        case harness::ProtocolKind::ftskeen: {
+            auto& r = c.world().process_as<ftskeen::FtSkeenReplica>(p);
+            return {r.entry_count(), r.compacted_count()};
+        }
+        case harness::ProtocolKind::fastcast: {
+            auto& r = c.world().process_as<fastcast::FastCastReplica>(p);
+            return {r.entry_count(), r.compacted_count()};
+        }
+        default: {
+            auto& r = c.world().process_as<wbcast::WbcastReplica>(p);
+            return {r.entry_count(), r.compacted_count()};
+        }
+    }
+}
+
+void BM_GcRound(benchmark::State& state, harness::ProtocolKind kind) {
+    const auto retained = static_cast<std::size_t>(state.range(0));
+    constexpr std::size_t in_flight = 8;
+    const Duration tick = milliseconds(10);
+    harness::ClusterConfig cfg;
+    cfg.kind = kind;
+    cfg.groups = 2;
+    cfg.group_size = 1;
+    cfg.clients = 1;
+    cfg.delta = microseconds(20);
+    cfg.client_retry = seconds(3600);
+    cfg.replica.election_enabled = false;
+    cfg.replica.retry_interval = tick;
+    cfg.replica.gc_interval = tick;
+    cfg.replica.paxos_gc_interval = tick;
+    harness::Cluster c(std::move(cfg));
+    const ProcessId leader = c.topo().initial_leader(0);
+    for (std::size_t i = 0; i < retained; ++i)
+        c.multicast_at(static_cast<TimePoint>(i) * microseconds(10), 0, {0});
+    while (c.log().completed_count() < retained) c.run_for(tick);
+    c.run_for(4 * tick);  // the last deliveries compact
+    c.world().crash(c.topo().initial_leader(1));
+    for (std::size_t i = 0; i < in_flight; ++i)
+        c.multicast_at(c.world().now(), 0, {0, 1});
+    c.run_for(tick);
+    const auto [entries, compacted] = retention_at(c, kind, leader);
+    if (compacted < retained || entries < retained + in_flight) {
+        state.SkipWithError("setup did not reach the retained state");
+        return;
+    }
+    for (auto _ : state) c.run_for(tick);
+    state.counters["entries"] = static_cast<double>(entries);
+    state.counters["compacted"] = static_cast<double>(compacted);
+    state.SetLabel(harness::to_string(kind));
+}
+BENCHMARK_CAPTURE(BM_GcRound, wbcast, harness::ProtocolKind::wbcast)
+    ->Arg(1000)->Arg(10000)->Arg(100000)
+    ->Iterations(50)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_GcRound, ftskeen, harness::ProtocolKind::ftskeen)
+    ->Arg(1000)->Arg(10000)->Arg(100000)
+    ->Iterations(50)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_GcRound, fastcast, harness::ProtocolKind::fastcast)
+    ->Arg(1000)->Arg(10000)->Arg(100000)
+    ->Iterations(50)->Unit(benchmark::kMicrosecond);
 
 void BM_HistogramRecord(benchmark::State& state) {
     stats::Histogram h;

@@ -197,12 +197,10 @@ void FastCastReplica::run_app_gc(Context& ctx) {
     delivered_floor_.note(pid_, max_delivered_gts_);
     const Timestamp floor = delivered_floor_.floor();
     if (floor == bottom_ts) return;
-    const std::uint64_t before = compacted_count_;
-    compact_below(floor);
-    if (compacted_count_ > before)
+    const std::size_t n = compact_upto(floor);
+    if (n > 0)
         obs::events().note("gc_prune",
-                           "fastcast: compacted " +
-                               std::to_string(compacted_count_ - before) +
+                           "fastcast: compacted " + std::to_string(n) +
                                " entries at floor " + to_string(floor),
                            ctx.now());
     // Announce every round, not only on change: a member that missed an
@@ -215,24 +213,29 @@ void FastCastReplica::run_app_gc(Context& ctx) {
 }
 
 void FastCastReplica::handle_gc_prune(const GcPruneMsg& m) {
-    compact_below(std::min(m.floor, max_delivered_gts_));
+    compact_upto(std::min(m.floor, max_delivered_gts_));
 }
 
-bool FastCastReplica::compact_below(Timestamp floor) {
+std::size_t FastCastReplica::compact_upto(Timestamp floor) {
     // A message delivered by every member of the group drops its payload;
     // the ordering facts (lts/gts/phase/commit_vec) stay, so late CONFIRM
     // retries and leader recovery remain correct (mirrors wbcast::compact).
-    std::uint64_t n = 0;
-    for (auto& [id, e] : entries_) {
-        if (e.phase != Phase::committed || e.compacted) continue;
-        if (e.gts > floor || committed_by_gts_.count(e.gts)) continue;
+    return gc_queue_.drain_upto(floor, [&](MsgId id) {
+        Entry& e = entries_.at(id);
+        if (e.phase != Phase::committed || e.compacted ||
+            committed_by_gts_.count(e.gts))
+            return GcStep::stale;
         e.msg.payload = BufferSlice{};
         e.compacted = true;
-        ++compacted_count_;
-        ++n;
-    }
-    if (n > 0) obs::metrics().counter("gc/compacted_entries").add(n);
-    return n > 0;
+        return GcStep::compacted;
+    });
+}
+
+void FastCastReplica::rebuild_gc_queue() {
+    gc_queue_.rebuild(entries_, [&](const Entry& e) {
+        return e.phase == Phase::committed &&
+               committed_by_gts_.count(e.gts) == 0;
+    });
 }
 
 void FastCastReplica::handle_multicast(Context& ctx, const AppMessage& m) {
@@ -417,6 +420,7 @@ void FastCastReplica::try_deliver(Context& ctx) {
         if (gts <= max_delivered_gts_) {
             // Already delivered (e.g. re-applied after leader change).
             committed_by_gts_.erase(committed_by_gts_.begin());
+            gc_queue_.push(gts, id);
             continue;
         }
         // Speculation check: every group's durable timestamp must match the
@@ -452,6 +456,7 @@ void FastCastReplica::try_deliver(Context& ctx) {
             break;
         }
         committed_by_gts_.erase(committed_by_gts_.begin());
+        gc_queue_.push(gts, id);
         max_delivered_gts_ = gts;
         floor = gts;
         confirmed_.erase(id);
@@ -500,9 +505,7 @@ Bytes FastCastReplica::state_snapshot(Timestamp strip_upto) const {
 }
 
 bool FastCastReplica::can_serve_snapshot(Timestamp strip_upto) const {
-    for (const auto& [id, e] : entries_)
-        if (e.compacted && e.gts > strip_upto) return false;
-    return true;
+    return gc_queue_.max_compacted() <= strip_upto;
 }
 
 void FastCastReplica::install_state(Context& ctx, const BufferSlice& state) {
@@ -559,6 +562,7 @@ void FastCastReplica::install_state(Context& ctx, const BufferSlice& state) {
                              wal::encode_watermark(max_delivered_gts_));
         sink_(ctx, g0_, entries_.at(id).msg);
     }
+    rebuild_gc_queue();
     log::info("fastcast p", pid_, " installed state snapshot (", n, " entries)");
 }
 
@@ -573,6 +577,7 @@ void FastCastReplica::deliver_upto(Context& ctx, Timestamp floor) {
         const auto [gts, id] = *committed_by_gts_.begin();
         if (gts > floor) break;
         committed_by_gts_.erase(committed_by_gts_.begin());
+        gc_queue_.push(gts, id);
         if (gts <= max_delivered_gts_) continue;
         max_delivered_gts_ = gts;
         if (cfg_.wal)
@@ -614,9 +619,17 @@ void FastCastReplica::dispatch_timer(Context& ctx, TimerId id) {
         paxos_.maybe_lead(ctx);
     if (!paxos_.is_leader()) return;
     // Re-drive speculation for stuck messages (lost messages, leader
-    // changes here or in remote groups).
-    for (auto& [mid, e] : entries_) {
-        if (e.phase != Phase::proposed) continue;
+    // changes here or in remote groups). pending_by_lts_ indexes exactly
+    // the proposed entries; walk a copy of its ids, since a re-driven
+    // commit may apply (and unindex) in place.
+    std::vector<MsgId> proposed;
+    proposed.reserve(pending_by_lts_.size());
+    for (const auto& [lts, mid] : pending_by_lts_) proposed.push_back(mid);
+    for (const MsgId mid : proposed) {
+        const auto eit = entries_.find(mid);
+        if (eit == entries_.end() || eit->second.phase != Phase::proposed)
+            continue;
+        const Entry& e = eit->second;
         auto& at = last_driven_[mid];
         if (ctx.now() - at < cfg_.retry_interval) continue;
         at = ctx.now();
@@ -635,8 +648,9 @@ void FastCastReplica::dispatch_timer(Context& ctx, TimerId id) {
     // (handle_confirm's already-delivered reply covers the asymmetric
     // case where it has long since moved on).
     bool reconfirmed = false;
-    for (const auto& [gts, mid] : committed_by_gts_) {
-        if (gts <= max_delivered_gts_) continue;
+    for (auto it = committed_by_gts_.upper_bound(max_delivered_gts_);
+         it != committed_by_gts_.end(); ++it) {
+        const MsgId mid = it->second;
         const Entry& e = entries_.at(mid);
         auto& at = last_driven_[mid];
         if (ctx.now() - at < cfg_.retry_interval) continue;

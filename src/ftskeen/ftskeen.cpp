@@ -292,6 +292,7 @@ void FtSkeenReplica::try_deliver(Context& ctx) {
         const auto& [gts, id] = *committed_by_gts_.begin();
         if (!pending_by_lts_.empty() && pending_by_lts_.begin()->first <= gts)
             break;
+        gc_queue_.push(gts, id);
         if (gts <= max_delivered_gts_) {
             // At-or-below the restored watermark during WAL replay: the
             // pre-crash process already delivered it.
@@ -334,12 +335,10 @@ void FtSkeenReplica::run_app_gc(Context& ctx) {
     delivered_floor_.note(pid_, max_delivered_gts_);
     const Timestamp floor = delivered_floor_.floor();
     if (floor == bottom_ts) return;
-    const std::uint64_t before = compacted_count_;
-    compact_below(floor);
-    if (compacted_count_ > before)
+    const std::size_t n = compact_upto(floor);
+    if (n > 0)
         obs::events().note("gc_prune",
-                           "ftskeen: compacted " +
-                               std::to_string(compacted_count_ - before) +
+                           "ftskeen: compacted " + std::to_string(n) +
                                " entries at floor " + to_string(floor),
                            ctx.now());
     // Announce every round, not only on change: a member that missed an
@@ -352,24 +351,29 @@ void FtSkeenReplica::run_app_gc(Context& ctx) {
 }
 
 void FtSkeenReplica::handle_gc_prune(const GcPruneMsg& m) {
-    compact_below(std::min(m.floor, max_delivered_gts_));
+    compact_upto(std::min(m.floor, max_delivered_gts_));
 }
 
-bool FtSkeenReplica::compact_below(Timestamp floor) {
+std::size_t FtSkeenReplica::compact_upto(Timestamp floor) {
     // A message delivered by every member of the group drops its payload;
     // the ordering facts (lts/gts/phase) stay, so late PROPOSE_TS retries
     // and leader recovery remain correct (mirrors wbcast::compact).
-    std::uint64_t n = 0;
-    for (auto& [id, e] : entries_) {
-        if (e.phase != Phase::committed || e.compacted) continue;
-        if (e.gts > floor || committed_by_gts_.count(e.gts)) continue;
+    return gc_queue_.drain_upto(floor, [&](MsgId id) {
+        Entry& e = entries_.at(id);
+        if (e.phase != Phase::committed || e.compacted ||
+            committed_by_gts_.count(e.gts))
+            return GcStep::stale;
         e.msg.payload = BufferSlice{};
         e.compacted = true;
-        ++compacted_count_;
-        ++n;
-    }
-    if (n > 0) obs::metrics().counter("gc/compacted_entries").add(n);
-    return n > 0;
+        return GcStep::compacted;
+    });
+}
+
+void FtSkeenReplica::rebuild_gc_queue() {
+    gc_queue_.rebuild(entries_, [&](const Entry& e) {
+        return e.phase == Phase::committed &&
+               committed_by_gts_.count(e.gts) == 0;
+    });
 }
 
 // --- consensus-log retention: state transfer --------------------------------
@@ -397,9 +401,7 @@ Bytes FtSkeenReplica::state_snapshot(Timestamp strip_upto) const {
 }
 
 bool FtSkeenReplica::can_serve_snapshot(Timestamp strip_upto) const {
-    for (const auto& [id, e] : entries_)
-        if (e.compacted && e.gts > strip_upto) return false;
-    return true;
+    return gc_queue_.max_compacted() <= strip_upto;
 }
 
 void FtSkeenReplica::install_state(Context& ctx, const BufferSlice& state) {
@@ -457,6 +459,7 @@ void FtSkeenReplica::install_state(Context& ctx, const BufferSlice& state) {
                              wal::encode_watermark(max_delivered_gts_));
         sink_(ctx, g0_, entries_.at(id).msg);
     }
+    rebuild_gc_queue();
     log::info("ftskeen p", pid_, " installed state snapshot (", n, " entries)");
 }
 
@@ -490,8 +493,16 @@ void FtSkeenReplica::dispatch_timer(Context& ctx, TimerId id) {
         paxos_.maybe_lead(ctx);
     if (!paxos_.is_leader()) return;
     // Re-drive everything that may have been lost across leader changes.
-    for (auto& [mid, e] : entries_) {
-        if (e.phase != Phase::proposed) continue;
+    // pending_by_lts_ indexes exactly the proposed entries; walk a copy of
+    // its ids, since a re-driven commit may apply (and unindex) in place.
+    std::vector<MsgId> proposed;
+    proposed.reserve(pending_by_lts_.size());
+    for (const auto& [lts, mid] : pending_by_lts_) proposed.push_back(mid);
+    for (const MsgId mid : proposed) {
+        const auto eit = entries_.find(mid);
+        if (eit == entries_.end() || eit->second.phase != Phase::proposed)
+            continue;
+        const Entry& e = eit->second;
         collected_[mid][g0_] = e.lts;  // volatile state lost on takeover
         const auto sent = propose_ts_sent_.find(mid);
         if (sent == propose_ts_sent_.end() ||
@@ -513,14 +524,18 @@ void FtSkeenReplica::dispatch_timer(Context& ctx, TimerId id) {
         sub.at = ctx.now();
         paxos_.submit(ctx, make_cmd(CmdKind::propose, mid, ProposeCmd{sub.msg}));
     }
-    for (auto& [mid, at] : commit_submitted_) {
+    // Commits submitted but never applied (lost with a leader change):
+    // re-drive every due one this tick, not one per tick.
+    std::vector<MsgId> stalled;
+    for (const auto& [mid, at] : commit_submitted_) {
         if (ctx.now() - at < cfg_.retry_interval) continue;
         const auto eit = entries_.find(mid);
-        if (eit == entries_.end() || eit->second.phase != Phase::proposed)
-            continue;
+        if (eit != entries_.end() && eit->second.phase == Phase::proposed)
+            stalled.push_back(mid);
+    }
+    for (const MsgId mid : stalled) {
         commit_submitted_.erase(mid);
         maybe_submit_commit(ctx, mid);
-        break;  // iterator invalidated; the next tick handles the rest
     }
 }
 

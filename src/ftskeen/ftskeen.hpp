@@ -118,7 +118,7 @@ public:
     // included) and how many were compacted to stubs by the delivered
     // floor.
     std::size_t entry_count() const { return entries_.size(); }
-    std::size_t compacted_count() const { return compacted_count_; }
+    std::size_t compacted_count() const { return gc_queue_.compacted(); }
 
     // Deterministic serialization of the replicated state (entries sorted
     // by message id), as shipped by the paxos catch-up path. Entries the
@@ -197,7 +197,8 @@ private:
     void run_app_gc(Context& ctx);
     void handle_gc_status(ProcessId from, const GcStatusMsg& m);
     void handle_gc_prune(const GcPruneMsg& m);
-    bool compact_below(Timestamp floor);
+    std::size_t compact_upto(Timestamp floor);
+    void rebuild_gc_queue();
     void install_state(Context& ctx, const BufferSlice& state);
     void apply(Context& ctx, const paxos::Command& cmd);
     void apply_propose(Context& ctx, const ProposeCmd& cmd);
@@ -231,7 +232,7 @@ private:
 
     // --- application-log retention ------------------------------------------
     DeliveredFloor delivered_floor_;  // leader-side report fold
-    std::size_t compacted_count_ = 0;
+    CompactionQueue gc_queue_;        // delivered here, payload still held
 
     // --- leader-volatile state ---------------------------------------------
     // Local timestamps collected from destination groups (incl. our own).

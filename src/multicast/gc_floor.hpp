@@ -12,16 +12,19 @@
 // that never delivered stay GC-silent.
 //
 // The wire bodies live here once; each protocol tags them with its own
-// Module::proto type values.
+// Module::proto type values. So does the member-side CompactionQueue,
+// which keeps a GC round's cost proportional to what it compacts.
 #ifndef WBAM_MULTICAST_GC_FLOOR_HPP
 #define WBAM_MULTICAST_GC_FLOOR_HPP
 
 #include <algorithm>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "codec/fields.hpp"
 #include "common/types.hpp"
+#include "obs/metrics.hpp"
 
 namespace wbam {
 
@@ -83,6 +86,106 @@ public:
 private:
     std::vector<ProcessId> members_;
     std::map<ProcessId, Timestamp> reports_;
+};
+
+// What a protocol row's compaction callback did with one queued message.
+enum class GcStep : std::uint8_t {
+    compacted,  // payload dropped: the entry is a stub now
+    stale,      // nothing to compact (e.g. already a stub): forget it
+    not_yet,    // not eligible yet: stop, and retry from here next round
+};
+
+// Member-side index of the compaction work that is due: every message
+// delivered here whose entry still holds its payload, in delivery order
+// (= gts order, since every member delivers in strictly increasing gts).
+// A GC round pops the prefix at-or-below the group floor, so it costs
+// O(entries compacted) however many stubs the replica retains. The queue
+// also summarises the stubs themselves: how many, and the highest gts
+// among them (what a catch-up server needs to know it can serve).
+//
+// Rows push at their local delivery point and rebuild() once after any
+// event that replaces the entry table wholesale (leader recompute, state
+// install, WAL replay).
+class CompactionQueue {
+public:
+    // A delivery here. In-order pushes append; an out-of-order one (never
+    // expected, tolerated) is inserted in place, and a repeat is ignored.
+    void push(Timestamp gts, MsgId id) {
+        const Item item{gts, id};
+        if (items_.size() == head_ || items_.back() < item) {
+            items_.push_back(item);
+            return;
+        }
+        const auto pos = std::lower_bound(
+            items_.begin() + static_cast<std::ptrdiff_t>(head_), items_.end(),
+            item);
+        if (pos == items_.end() || *pos != item) items_.insert(pos, item);
+    }
+
+    // Offers each queued message with gts <= floor, in gts order, to
+    // `step(id)` and pops it unless the answer is not_yet. Returns how
+    // many were compacted.
+    template <class Step>
+    std::size_t drain_upto(Timestamp floor, Step&& step) {
+        std::size_t n = 0;
+        while (head_ < items_.size() && items_[head_].first <= floor) {
+            const auto [gts, id] = items_[head_];
+            const GcStep s = step(id);
+            if (s == GcStep::not_yet) break;
+            ++head_;
+            if (s == GcStep::compacted) {
+                ++n;
+                max_compacted_ = std::max(max_compacted_, gts);
+            }
+        }
+        // Reclaim the popped prefix once it dominates (amortized O(1)).
+        if (head_ == items_.size()) {
+            items_.clear();
+            head_ = 0;
+        } else if (head_ >= 1024 && 2 * head_ >= items_.size()) {
+            items_.erase(items_.begin(),
+                         items_.begin() + static_cast<std::ptrdiff_t>(head_));
+            head_ = 0;
+        }
+        if (n > 0) {
+            compacted_ += n;
+            obs::metrics().counter("gc/compacted_entries").add(n);
+        }
+        return n;
+    }
+
+    // Re-derives the queue and the stub summary from an entry table
+    // (MsgId -> entry with `gts` and `compacted`), after the table was
+    // replaced wholesale. `delivered_here(entry)` selects the queued ones.
+    template <class Table, class Pred>
+    void rebuild(const Table& entries, Pred&& delivered_here) {
+        items_.clear();
+        head_ = 0;
+        compacted_ = 0;
+        max_compacted_ = bottom_ts;
+        for (const auto& [id, e] : entries) {
+            if (e.compacted) {
+                ++compacted_;
+                max_compacted_ = std::max(max_compacted_, e.gts);
+            } else if (delivered_here(e)) {
+                items_.emplace_back(e.gts, id);
+            }
+        }
+        std::sort(items_.begin(), items_.end());
+    }
+
+    std::size_t size() const { return items_.size() - head_; }
+    // Stubs in the table, and the highest gts among them (⊥ if none).
+    std::size_t compacted() const { return compacted_; }
+    Timestamp max_compacted() const { return max_compacted_; }
+
+private:
+    using Item = std::pair<Timestamp, MsgId>;
+
+    std::vector<Item> items_;  // [head_, end) is the queue
+    std::size_t head_ = 0;
+    std::size_t compacted_ = 0;
+    Timestamp max_compacted_;
 };
 
 }  // namespace wbam

@@ -262,6 +262,11 @@ void MultiPaxos::mark_chosen(Context& ctx, std::uint64_t slot, Command cmd,
     // Unconditional, so a duplicate CHOSEN also releases anything a racing
     // P2a retry slipped back in.
     accepted_.erase(slot);
+    // Likewise our own proposal for the slot, if we still have one: it may
+    // be a deposed ballot's value that lost to the chosen one, and on_tick
+    // would otherwise re-send it under our next ballot. The host re-drives
+    // a lost command through its own retry path.
+    inflight_.erase(slot);
     const auto existing = chosen_.find(slot);
     if (existing != chosen_.end()) {
         // Paxos guarantees agreement: a slot can only be chosen once.

@@ -394,6 +394,7 @@ void WbcastReplica::handle_deliver(Context& ctx, const DeliverMsg& d) {
     committed_by_gts_.erase(d.gts);
     clock_ = std::max(clock_, d.gts.time);  // line 29
     max_delivered_gts_ = d.gts;
+    gc_queue_.push(d.gts, d.msg.id);
     // Commit fact + delivery watermark, durable before the handler's
     // group-commit releases any message (and before the app ever acks):
     // replay re-emits exactly the deliveries above the last watermark.
@@ -462,7 +463,6 @@ void WbcastReplica::install_entry(const EntryState& es) {
     e.lts = es.lts;
     e.gts = es.gts;
     e.compacted = es.compacted;
-    if (e.compacted) ++compacted_count_;
     if (e.phase == Phase::accepted) {
         const bool fresh = pending_by_lts_.emplace(e.lts, es.msg.id).second;
         WBAM_ASSERT_MSG(fresh, "recovered local timestamps must be unique");
@@ -489,7 +489,6 @@ void WbcastReplica::handle_newleader_ack(Context& ctx, ProcessId from,
     entries_.clear();
     pending_by_lts_.clear();
     committed_by_gts_.clear();
-    compacted_count_ = 0;
 
     Ballot max_cb;
     for (const auto& [p, ack] : recovery_->acks)
@@ -513,7 +512,6 @@ void WbcastReplica::handle_newleader_ack(Context& ctx, ProcessId from,
                 committed_by_gts_.erase(it->second.gts);
                 it->second.compacted = true;
                 it->second.deliver_sent = true;
-                ++compacted_count_;
             }
             // compact(): a compacted entry is never re-dropped by GC, so it
             // must not alias the whole recovery-ack frame.
@@ -542,6 +540,7 @@ void WbcastReplica::handle_newleader_ack(Context& ctx, ProcessId from,
         clock_ = std::max(clock_, ack.clock);
     cballot_ = recovery_->b;  // line 55
     recovery_->state_sent = true;
+    rebuild_gc_queue();
     // The recompute replaced the whole entry table: checkpoint it (reset
     // marker, then every surviving entry) before NEW_STATE externalizes it.
     if (cfg_.wal) {
@@ -576,8 +575,8 @@ void WbcastReplica::handle_new_state(Context& ctx, ProcessId from,
     entries_.clear();
     pending_by_lts_.clear();
     committed_by_gts_.clear();
-    compacted_count_ = 0;
     for (const EntryState& es : m.entries) install_entry(es);
+    rebuild_gc_queue();
     recovery_.reset();
     // Same checkpoint as the new leader's: the table was rebuilt wholesale.
     if (cfg_.wal) {
@@ -608,7 +607,8 @@ void WbcastReplica::handle_newstate_ack(Context& ctx, ProcessId from,
     // max_delivered_gts.
     try_deliver(ctx);
     // Resume stuck accepted messages immediately (message recovery, §IV).
-    for (auto& [id, e] : entries_) {
+    for (const auto& [lts, id] : pending_by_lts_) {
+        Entry& e = entries_.at(id);
         if (e.phase != Phase::accepted) continue;
         e.last_activity = ctx.now();
         const Buffer wire = encode_multicast_request(e.msg);
@@ -627,8 +627,10 @@ ProcessId WbcastReplica::leader_guess(GroupId g) const {
 
 void WbcastReplica::retry_stuck(Context& ctx) {
     if (status_ != Status::leader) return;
-    for (auto& [id, e] : entries_) {
-        if (e.phase != Phase::proposed && e.phase != Phase::accepted) continue;
+    // pending_by_lts_ indexes exactly the PROPOSED/ACCEPTED entries, so a
+    // tick costs O(messages in flight), not O(entries retained).
+    for (const auto& [lts, id] : pending_by_lts_) {
+        Entry& e = entries_.at(id);
         if (ctx.now() - e.last_activity < cfg_.retry_interval) continue;
         // Lines 32-34: re-send MULTICAST(m) to the destination leaders;
         // groups that processed m re-send their protocol messages, groups
@@ -654,15 +656,29 @@ void WbcastReplica::handle_gc_status(ProcessId from, const GcStatusMsg& m) {
 }
 
 void WbcastReplica::handle_gc_prune(const GcPruneMsg& m) {
-    const std::uint64_t before = compacted_count_;
-    for (auto& [id, e] : entries_) {
-        if (e.phase != Phase::committed || e.compacted) continue;
-        if (e.gts > m.floor || e.gts > max_delivered_gts_) continue;
+    compact_upto(std::min(m.floor, max_delivered_gts_),
+                 /*require_deliver_sent=*/false);
+}
+
+std::size_t WbcastReplica::compact_upto(Timestamp floor,
+                                        bool require_deliver_sent) {
+    // The queue holds exactly the committed, uncompacted entries delivered
+    // here, in gts order. The leader additionally waits for its own
+    // DELIVER to have gone out (Delivered[] is set in gts order, so the
+    // first entry still waiting ends the round).
+    return gc_queue_.drain_upto(floor, [&](MsgId id) {
+        Entry& e = entries_.at(id);
+        if (e.phase != Phase::committed || e.compacted) return GcStep::stale;
+        if (require_deliver_sent && !e.deliver_sent) return GcStep::not_yet;
         compact(e);
-    }
-    if (compacted_count_ > before)
-        obs::metrics().counter("gc/compacted_entries")
-            .add(compacted_count_ - before);
+        return GcStep::compacted;
+    });
+}
+
+void WbcastReplica::rebuild_gc_queue() {
+    gc_queue_.rebuild(entries_, [&](const Entry& e) {
+        return e.phase == Phase::committed && e.gts <= max_delivered_gts_;
+    });
 }
 
 void WbcastReplica::run_gc(Context& ctx) {
@@ -670,22 +686,12 @@ void WbcastReplica::run_gc(Context& ctx) {
     repair_lagging(ctx);
     const Timestamp floor = delivered_floor_.floor();
     if (floor == bottom_ts) return;
-    const std::uint64_t before = compacted_count_;
-    for (auto& [id, e] : entries_) {
-        if (e.phase != Phase::committed || e.compacted || !e.deliver_sent)
-            continue;
-        if (e.gts > floor) continue;
-        compact(e);
-    }
-    if (compacted_count_ > before) {
-        obs::metrics().counter("gc/compacted_entries")
-            .add(compacted_count_ - before);
+    const std::size_t n = compact_upto(floor, /*require_deliver_sent=*/true);
+    if (n > 0)
         obs::events().note("gc_prune",
-                           "wbcast: compacted " +
-                               std::to_string(compacted_count_ - before) +
+                           "wbcast: compacted " + std::to_string(n) +
                                " entries at floor " + to_string(floor),
                            ctx.now());
-    }
     // Announce every round, not only on change: a member that missed an
     // earlier announcement (partition, recovery) learns the floor here.
     const Buffer wire = codec::encode_envelope(proto, type_of(MsgType::gc_prune),
@@ -774,7 +780,6 @@ void WbcastReplica::compact(Entry& e) {
     e.accepts.clear();
     e.acks.clear();
     e.compacted = true;
-    ++compacted_count_;
     // Durable stub: replay must not resurrect the payload-bearing record
     // as the live entry (the delivered floor proved everyone has it).
     log_entry(e);
@@ -803,16 +808,12 @@ void WbcastReplica::restore_entry(const EntryState& es) {
     drop_pending(e);
     if (e.phase == Phase::committed && !e.compacted)
         committed_by_gts_.erase(e.gts);
-    if (e.compacted) --compacted_count_;
     e.msg = es.msg;
     e.phase = static_cast<Phase>(es.phase);
     e.lts = es.lts;
     e.gts = es.gts;
     e.compacted = es.compacted;
-    if (e.compacted) {
-        ++compacted_count_;
-        e.deliver_sent = true;  // the floor proved full group delivery
-    }
+    if (e.compacted) e.deliver_sent = true;  // the floor proved full delivery
     if (e.phase == Phase::proposed || e.phase == Phase::accepted) {
         const bool fresh = pending_by_lts_.emplace(e.lts, es.msg.id).second;
         WBAM_ASSERT_MSG(fresh, "replayed local timestamps must be unique");
@@ -844,7 +845,6 @@ void WbcastReplica::replay_wal(Context&) {
                 entries_.clear();
                 pending_by_lts_.clear();
                 committed_by_gts_.clear();
-                compacted_count_ = 0;
             }
         } else if (type == wal::tag(wal::RecordType::wb_entry)) {
             const WbEntryRecord rec = decode_wb_entry(body);
@@ -861,6 +861,7 @@ void WbcastReplica::replay_wal(Context&) {
         entries_.at(it->second).deliver_sent = true;
         it = committed_by_gts_.erase(it);
     }
+    rebuild_gc_queue();
     // A promise above cballot means a leader change was in flight: stay
     // out of normal processing until its NEW_STATE (or a fresh NEWLEADER)
     // arrives. Otherwise resume leadership only when no competing ballot

@@ -54,7 +54,7 @@ public:
     Timestamp max_delivered_gts() const { return max_delivered_gts_; }
     std::size_t entry_count() const { return entries_.size(); }
     std::size_t pending_count() const { return pending_by_lts_.size(); }
-    std::size_t compacted_count() const { return compacted_count_; }
+    std::size_t compacted_count() const { return gc_queue_.compacted(); }
     GroupId group() const { return g0_; }
 
 private:
@@ -113,6 +113,8 @@ private:
     void handle_gc_status(ProcessId from, const GcStatusMsg& m);
     void handle_gc_prune(const GcPruneMsg& m);
     void run_gc(Context& ctx);
+    std::size_t compact_upto(Timestamp floor, bool require_deliver_sent);
+    void rebuild_gc_queue();
     void repair_lagging(Context& ctx);
     void resend_deliveries(Context& ctx, ProcessId to, Timestamp above);
     void compact(Entry& e);
@@ -158,9 +160,10 @@ private:
     TimePoint last_sync_req_ = 0;
     int sync_attempts_ = 0;
 
-    // GC: leader-side view of each member's delivery progress.
+    // GC: leader-side view of each member's delivery progress, and the
+    // delivered entries still holding their payloads.
     DeliveredFloor delivered_floor_;
-    std::size_t compacted_count_ = 0;
+    CompactionQueue gc_queue_;
     // Last reported watermark per member and how many GC rounds it has
     // stalled below ours — a stall means lost DELIVERs (crash-recovery
     // restart), repaired by re-sending them in gts order.

@@ -148,6 +148,56 @@ TEST(FtSkeenTest, RemoteLeaderCrashMidExchange) {
     EXPECT_EQ(c.log().completed_count(), 1u);
 }
 
+TEST(FtSkeenTest, StrandedCommitsAllRedriveWithinFewRetryIntervals) {
+    // Group 0's leader p0 submits the Commit commands of k cross-group
+    // messages, then is cut off from its group before they are accepted.
+    // p1 takes over but cannot commit them (it is cut off from group 1),
+    // and the slots p0's commits took are chosen for p1's own traffic, so
+    // those commits are lost. When p0 rejoins its group it leads again
+    // with k stalled commits: all of them must be re-driven in one tick,
+    // not one per retry interval.
+    constexpr int k = 30;
+    ClusterConfig cfg = ft_config(2, 2, 11);
+    cfg.replica.heartbeat_interval = milliseconds(5);
+    cfg.replica.suspect_timeout = milliseconds(20);
+    cfg.replica.retry_interval = milliseconds(25);
+    cfg.client_retry = milliseconds(10);
+    Cluster c(cfg);
+    const TimePoint t0 = milliseconds(2);
+    for (int i = 0; i < k; ++i) c.multicast_at(t0, 0, {0, 1});
+    // The Propose commands are chosen at t0 + 3δ (CHOSEN reaches the
+    // followers at t0 + 4δ); p0 submits the commits when group 1's
+    // timestamps arrive at t0 + 4δ. Cut in between: the followers know
+    // the proposals, and the commits' P2As are lost (a severed link drops
+    // what is sent after the cut, not what is already in flight).
+    const std::vector<ProcessId> g0 = c.topo().members(0);
+    const std::vector<ProcessId> g1 = c.topo().members(1);
+    const auto set_links = [&](bool cut_leader, bool cut_followers) {
+        for (const ProcessId p : {g0[1], g0[2]}) {
+            if (cut_leader) c.world().sever_link(g0[0], p);
+            else c.world().restore_link(g0[0], p);
+            for (const ProcessId q : g1) {
+                if (cut_followers) c.world().sever_link(p, q);
+                else c.world().restore_link(p, q);
+            }
+        }
+    };
+    c.world().at(t0 + 3 * delta + delta / 2, [&] { set_links(true, true); });
+    // Single-group traffic for p1 to choose in the slots p0's commits took.
+    for (int i = 0; i < 2 * k; ++i) c.multicast_at(milliseconds(40), 1, {0});
+    // p0 rejoins; p1 stays cut off from group 1, so only p0 can commit.
+    const TimePoint heal = milliseconds(150);
+    c.world().at(heal, [&] { set_links(false, true); });
+    // Re-leading takes a tick or two (a nack, then phase 1); re-driving one
+    // stalled commit per tick would take k ticks.
+    c.run_until(heal + 6 * cfg.replica.retry_interval);
+    EXPECT_EQ(c.log().completed_count(), c.log().multicasts().size());
+    set_links(false, false);
+    c.run_for(milliseconds(500));
+    EXPECT_TRUE(c.check().ok()) << c.check().summary();
+    EXPECT_EQ(c.log().completed_count(), c.log().multicasts().size());
+}
+
 struct FtSweepParam {
     std::uint64_t seed;
     int groups;
