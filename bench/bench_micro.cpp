@@ -8,6 +8,9 @@
 // (override the path with BENCH_MICRO_JSON) with the fan-out byte-copy
 // accounting, so the perf trajectory of the wire path is machine-readable
 // across PRs.
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -16,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +34,7 @@
 #include "common/rng.hpp"
 #include "common/topology.hpp"
 #include "multicast/message.hpp"
+#include "net/frame.hpp"
 #include "net/stats.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stage.hpp"
@@ -602,6 +607,61 @@ DurabilityPoint measure_durability(wal::SyncMode mode, int batch,
     return out;
 }
 
+// --- receive path: one readiness event = one read + drain ---------------------
+//
+// One frame of `frame_bytes` (length prefix included) is written to a
+// socketpair; the timed region is the runtime's read step
+// (FrameReassembler::read_from) plus drain() handing the frame out as a
+// slice. The write stays outside the timed region. A right-sized read
+// costs in proportion to the frame; a fixed zero-filled receive window
+// would make the cost flat in the frame size.
+std::map<std::size_t, double> g_net_read_ns;  // frame bytes -> ns per frame
+
+void BM_NetReadPath(benchmark::State& state) {
+    const auto frame_bytes = static_cast<std::size_t>(state.range(0));
+    int fds[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+        state.SkipWithError("socketpair failed");
+        return;
+    }
+    Bytes wire(frame_bytes, 0x5a);
+    net::put_frame_header(
+        wire.data(),
+        static_cast<std::uint32_t>(frame_bytes - net::frame_header_size));
+    net::FrameReassembler rx;
+    std::uint64_t frames = 0;
+    double total_ns = 0;
+    for (auto _ : state) {
+        if (::write(fds[0], wire.data(), wire.size()) !=
+            static_cast<ssize_t>(wire.size())) {
+            state.SkipWithError("short write");
+            break;
+        }
+        const auto t0 = std::chrono::steady_clock::now();
+        const net::ReadResult r = rx.read_from(fds[1]);
+        benchmark::DoNotOptimize(r);
+        rx.drain([&frames](const BufferSlice& frame) {
+            benchmark::DoNotOptimize(frame.data());
+            ++frames;
+        });
+        const double ns = std::chrono::duration<double, std::nano>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+        total_ns += ns;
+        state.SetIterationTime(ns * 1e-9);
+    }
+    ::close(fds[0]);
+    ::close(fds[1]);
+    if (frames != static_cast<std::uint64_t>(state.iterations())) {
+        state.SkipWithError("a frame needed more than one read");
+        return;
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(frames * frame_bytes));
+    g_net_read_ns[frame_bytes] =
+        total_ns / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_NetReadPath)->Arg(64)->Arg(1024)->Arg(16384)->UseManualTime();
+
 void write_bench_json() {
     const char* path = std::getenv("BENCH_MICRO_JSON");
     if (path == nullptr) path = "BENCH_micro.json";
@@ -793,7 +853,23 @@ void write_bench_json() {
             std::fprintf(f,
                          "    \"group_commit_speedup_over_always\": null\n");
     }
-    std::fprintf(f, "  }\n}\n");
+    std::fprintf(f, "  },\n");
+    // Receive path: ns per frame of one read step + drain, from the
+    // BM_NetReadPath runs of this invocation (empty when filtered out).
+    std::fprintf(f, "  \"net_read_path\": {\n");
+    std::fprintf(f,
+                 "    \"scenario\": \"one frame written to a socketpair, "
+                 "then FrameReassembler::read_from + drain, timed per "
+                 "frame\",\n");
+    std::fprintf(f, "    \"frames\": [");
+    bool first_frame = true;
+    for (const auto& [bytes, ns] : g_net_read_ns) {
+        std::fprintf(f, "%s\n      {\"frame_bytes\": %zu, "
+                        "\"ns_per_frame\": %.0f}",
+                     first_frame ? "" : ",", bytes, ns);
+        first_frame = false;
+    }
+    std::fprintf(f, "%s]\n  }\n}\n", first_frame ? "" : "\n    ");
     std::fclose(f);
     std::fprintf(stderr, "wrote %s\n", path);
 }

@@ -24,17 +24,23 @@
 //   seq varint) plus the RETAINED BufferSlice the protocol handed to
 //   Context::send — one writev of header + slice, no byte is copied into
 //   a transport buffer.
-// * Receive side: FrameReassembler reads straight into a growing byte
-//   buffer; once at least one complete frame is present, the buffer is
-//   frozen into an immutable Buffer and every complete frame is emitted
-//   as a zero-copy subslice of it (protocols then decode in place, as
-//   everywhere else). Only a partial trailing frame is carried over into
-//   the next receive image — a bounded, counted copy of at most one
-//   frame prefix.
+// * Receive side: FrameReassembler::read_from reads straight into the
+//   receive image, sized to what the kernel reports queued (FIONREAD), in
+//   ONE read per readiness event; once at least one complete frame is
+//   present, the image is frozen into an immutable Buffer and every
+//   complete frame is emitted as a zero-copy subslice of it (protocols
+//   then decode in place, as everywhere else). Only a partial trailing
+//   frame is carried over into the next receive image — a bounded,
+//   counted copy of at most one frame prefix.
 #ifndef WBAM_NET_FRAME_HPP
 #define WBAM_NET_FRAME_HPP
 
+#include <sys/ioctl.h>
+#include <sys/socket.h>
+
+#include <algorithm>
 #include <array>
+#include <cerrno>
 #include <cstring>
 #include <optional>
 #include <utility>
@@ -182,6 +188,23 @@ inline DataHeader make_ack_header(std::uint64_t upto) {
 
 // --- receive-side reassembly -------------------------------------------------
 
+// Largest single read: a readiness event with more queued than this
+// reads the first read_chunk bytes and leaves the rest to the next poll
+// turn (level-triggered).
+inline constexpr std::size_t read_chunk = 64 * 1024;
+// Read window when the kernel reports nothing queued: the read then
+// returns EOF or the pending error (or a few bytes that raced in).
+inline constexpr std::size_t read_floor = 256;
+
+// Outcome of one FrameReassembler::read_from. `again`: the socket is still
+// open (bytes may be 0 on a spurious wakeup or EINTR) — wait for the next
+// readiness event; `eof`: the peer closed; `error`: the read failed.
+struct ReadResult {
+    enum class Status { again, eof, error };
+    std::size_t bytes = 0;
+    Status status = Status::again;
+};
+
 // Accumulates raw socket bytes and pops complete frames as zero-copy
 // slices of one frozen receive image. Tolerates arbitrary fragmentation:
 // a frame split across any number of reads, several frames in one read,
@@ -191,21 +214,35 @@ public:
     explicit FrameReassembler(std::size_t max_frame = default_max_frame)
         : max_frame_(max_frame) {}
 
-    // Writable window for the next read(2): at least `min_space` bytes at
-    // the tail of the pending image. Call commit(n) with the byte count the
-    // socket actually produced.
-    std::uint8_t* write_ptr(std::size_t min_space) {
-        if (pending_.size() < filled_ + min_space)
-            pending_.resize(filled_ + min_space);
-        return pending_.data() + filled_;
+    // The read step of one readiness event, shared by every socket reader:
+    // asks the kernel how much is queued, opens a window of exactly that
+    // many bytes (capped at read_chunk; read_floor when nothing is queued,
+    // so EOF and errors still surface) and issues ONE non-blocking read.
+    // The image therefore grows by what was read, never by a fixed chunk,
+    // and a slice a protocol retains pins one read's bytes. A remainder
+    // beyond read_chunk stays queued for the next level-triggered poll.
+    ReadResult read_from(int fd) {
+        int queued = 0;
+        if (::ioctl(fd, FIONREAD, &queued) != 0 || queued < 0) queued = 0;
+        const std::size_t window =
+            queued == 0 ? read_floor
+                        : std::min(static_cast<std::size_t>(queued),
+                                   read_chunk);
+        const ssize_t n = ::recv(fd, write_ptr(window), window, MSG_DONTWAIT);
+        if (n > 0) {
+            filled_ += static_cast<std::size_t>(n);
+            return {static_cast<std::size_t>(n), ReadResult::Status::again};
+        }
+        if (n == 0) return {0, ReadResult::Status::eof};
+        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
+            return {0, ReadResult::Status::again};
+        return {0, ReadResult::Status::error};
     }
-    std::size_t write_space() const { return pending_.size() - filled_; }
-    void commit(std::size_t n) { filled_ += n; }
 
     // Test/driver convenience: append bytes already in hand.
     void feed(const std::uint8_t* data, std::size_t n) {
         std::memcpy(write_ptr(n), data, n);
-        commit(n);
+        filled_ += n;
     }
 
     // Emits fn(BufferSlice payload) for every complete frame, in order.
@@ -246,6 +283,14 @@ public:
     std::size_t buffered() const { return filled_; }
 
 private:
+    // Writable window of at least `min_space` bytes at the tail of the
+    // pending image.
+    std::uint8_t* write_ptr(std::size_t min_space) {
+        if (pending_.size() < filled_ + min_space)
+            pending_.resize(filled_ + min_space);
+        return pending_.data() + filled_;
+    }
+
     std::size_t max_frame_;
     Bytes pending_;
     std::size_t filled_ = 0;

@@ -21,10 +21,11 @@
 #include <fcntl.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "common/types.hpp"
 
@@ -107,31 +108,41 @@ private:
 // loop drains. push() reports the empty -> non-empty transition so the
 // producer wakes the consumer exactly once per batch (a non-empty queue
 // already has a wake in flight that the owner has not consumed yet).
+// drain(out) swaps the queue with the consumer's own container, so the two
+// vectors trade places and keep their capacity: a steady-state loop turn
+// allocates nothing. empty() reads a count kept exact under the lock, so
+// the pre-poll check takes no lock.
 template <typename T>
 class Mailbox {
 public:
     bool push(T item) {
         const std::lock_guard<std::mutex> guard(mutex_);
-        const bool was_empty = items_.empty();
         items_.push_back(std::move(item));
-        return was_empty;
+        count_.store(items_.size());
+        return items_.size() == 1;
     }
 
-    std::deque<T> drain() {
-        std::deque<T> out;
+    // Replaces `out` (cleared first, outside the lock) with every queued
+    // item, in push order.
+    void drain(std::vector<T>& out) {
+        out.clear();
         const std::lock_guard<std::mutex> guard(mutex_);
         out.swap(items_);
+        count_.store(0);
+    }
+
+    std::vector<T> drain() {
+        std::vector<T> out;
+        drain(out);
         return out;
     }
 
-    bool empty() const {
-        const std::lock_guard<std::mutex> guard(mutex_);
-        return items_.empty();
-    }
+    bool empty() const { return count_.load() == 0; }
 
 private:
-    mutable std::mutex mutex_;
-    std::deque<T> items_;
+    std::mutex mutex_;
+    std::vector<T> items_;  // guarded by mutex_
+    std::atomic<std::size_t> count_{0};  // items_.size(), stored under mutex_
 };
 
 }  // namespace wbam::net

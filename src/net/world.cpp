@@ -40,8 +40,6 @@ void set_nodelay(int fd) {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-constexpr std::size_t read_chunk = 64 * 1024;
-
 }  // namespace
 
 // --- connection --------------------------------------------------------------
@@ -701,46 +699,37 @@ bool NetWorld::Loop::on_frame(Conn& c, const BufferSlice& payload) {
     return false;
 }
 
+// One readiness event = one right-sized read (FrameReassembler::read_from);
+// a remainder is reported again by the next level-triggered poll.
 bool NetWorld::Loop::read_conn(Conn& c) {
-    for (;;) {
-        std::uint8_t* p = c.in.write_ptr(read_chunk);
-        const ssize_t n = ::read(c.fd, p, c.in.write_space());
-        if (n > 0) {
-            transport_stats::note_read();
-            read_progress = true;  // progress marker for the shutdown drain
-            c.in.commit(static_cast<std::size_t>(n));
-            bool malformed = false;
-            std::uint64_t frames = 0;
-            const bool ok = c.in.drain([&](const BufferSlice& payload) {
-                if (malformed) return;
-                ++frames;
-                if (c.handoff) {
-                    // Already re-keyed to another loop's pair: everything
-                    // after the HELLO rides along with the socket.
-                    c.handoff_frames.push_back(payload);
-                    return;
-                }
-                if (!on_frame(c, payload)) malformed = true;
-            });
-            transport_stats::note_frames_received(frames);
-            if (!ok || malformed) {
-                log::info("net: dropping malformed connection (local p",
-                          c.local, ")");
-                c.outbound ? conn_dead(c) : close_conn(c);
-                return false;
+    const ReadResult r = c.in.read_from(c.fd);
+    if (r.bytes > 0) {
+        transport_stats::note_read();
+        read_progress = true;  // progress marker for the shutdown drain
+        bool malformed = false;
+        std::uint64_t frames = 0;
+        const bool ok = c.in.drain([&](const BufferSlice& payload) {
+            if (malformed) return;
+            ++frames;
+            if (c.handoff) {
+                // Already re-keyed to another loop's pair: everything after
+                // the HELLO rides along with the socket.
+                c.handoff_frames.push_back(payload);
+                return;
             }
-            if (c.handoff) return true;  // owner loop reads from here on
-            continue;
-        }
-        if (n == 0) {  // peer closed
+            if (!on_frame(c, payload)) malformed = true;
+        });
+        transport_stats::note_frames_received(frames);
+        if (!ok || malformed) {
+            log::info("net: dropping malformed connection (local p", c.local,
+                      ")");
             c.outbound ? conn_dead(c) : close_conn(c);
             return false;
         }
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
-        if (errno == EINTR) continue;
-        c.outbound ? conn_dead(c) : close_conn(c);
-        return false;
     }
+    if (r.status == ReadResult::Status::again) return true;
+    c.outbound ? conn_dead(c) : close_conn(c);  // peer closed, or error
+    return false;
 }
 
 void NetWorld::deliver(Host& h, ProcessId from, const BufferSlice& frame) {
@@ -838,13 +827,15 @@ void NetWorld::Loop::run() {
 
     std::vector<pollfd> pfds;
     std::vector<Conn*> pfd_conn;  // parallel to pfds; nullptr = not a conn
+    std::vector<Command> cmds;    // reused: swapped with the mailbox
 
     for (;;) {
         bool busy = false;
 
-        auto cmds = mailbox.drain();
+        mailbox.drain(cmds);
         busy |= !cmds.empty();
         for (Command& cmd : cmds) execute(cmd);
+        cmds.clear();  // release payloads and thunks before sleeping
 
         if (!inbox.empty()) {
             busy = true;

@@ -26,9 +26,13 @@
 // BufferSlice behind an inline stack-built header and the coalescing
 // flush path (net/send_queue.hpp) hands many queued frames to ONE
 // writev(2) per batch — payload bytes are never copied into a transport
-// buffer and the batched path allocates nothing per message. Inbound,
-// FrameReassembler freezes each receive image and delivers complete
-// frames as aliasing subslices in one multi-frame handler pass.
+// buffer and the batched path allocates nothing per message. Inbound, a
+// readiness event is one FIONREAD plus one read
+// (FrameReassembler::read_from) into an image of exactly the bytes queued
+// (at most 64 KiB; level-triggered poll reports any remainder next turn),
+// so a retained slice pins at most one read's bytes; the image is frozen
+// and its complete frames delivered as aliasing subslices in one
+// multi-frame handler pass.
 //
 // Connection lifecycle: every local process listens on its endpoint from
 // the ClusterMap; a send to a remote ProcessId lazily dials one outbound

@@ -2,16 +2,19 @@
 // (net/shard.hpp, net/send_queue.hpp) and the multi-loop NetWorld:
 // affinity properties, mailbox wake semantics, writev coalescing (the
 // one-syscall-per-burst contract and its budget/partial-write edge
-// cases), and reconnect/retransmit when the channel lives on a
-// non-primary shard. The cross-world tests double as the TSan stress
-// target (CI runs this binary under -fsanitize=thread).
+// cases), reconnect/retransmit when the channel lives on a non-primary
+// shard, and the one-read-per-readiness-event receive path under mixed
+// frame sizes and a one-sided close. The cross-world tests double as the
+// TSan stress target (CI runs this binary under -fsanitize=thread).
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -178,14 +181,60 @@ BufferSlice body_of(std::size_t n, std::uint8_t fill) {
     return Buffer(Bytes(n, fill));
 }
 
-// Reads everything currently buffered on `fd` into the reassembler.
+// Reads everything currently buffered on `fd` into the reassembler, through
+// the runtime's own read step (one right-sized read per call).
 void pump(int fd, FrameReassembler& rx) {
-    for (;;) {
-        std::uint8_t* dst = rx.write_ptr(4096);
-        const ssize_t n = ::recv(fd, dst, 4096, MSG_DONTWAIT);
-        if (n <= 0) break;
-        rx.commit(static_cast<std::size_t>(n));
+    while (rx.read_from(fd).bytes > 0) {
     }
+}
+
+// One call = one read, sized to what the kernel has queued: everything up
+// to read_chunk in one go, a larger backlog over several calls, nothing
+// (but no error) on an empty open socket, and EOF once the peer closed —
+// found by the floor-sized read even though FIONREAD reports 0.
+TEST(ReadFromTest, OneReadSizedToQueuedBytesThenEofOnClose) {
+    SocketPair sp;
+    ASSERT_GE(sp.a, 0);
+    auto write_frame = [&](std::size_t body, std::uint8_t fill) {
+        Bytes wire(frame_header_size + body, fill);
+        put_frame_header(wire.data(), static_cast<std::uint32_t>(body));
+        ASSERT_EQ(::write(sp.a, wire.data(), wire.size()),
+                  static_cast<ssize_t>(wire.size()));
+    };
+    FrameReassembler rx;
+    std::vector<std::size_t> sizes;
+    auto drain = [&] {
+        ASSERT_TRUE(rx.drain([&](BufferSlice f) { sizes.push_back(f.size()); }));
+    };
+
+    for (int i = 0; i < 3; ++i) write_frame(100, static_cast<std::uint8_t>(i));
+    ReadResult r = rx.read_from(sp.b);
+    EXPECT_EQ(r.status, ReadResult::Status::again);
+    EXPECT_EQ(r.bytes, 3 * (frame_header_size + 100));
+    drain();
+    EXPECT_EQ(sizes, (std::vector<std::size_t>{100, 100, 100}));
+
+    const std::size_t big = read_chunk + 1000;
+    write_frame(big, 0x7e);
+    r = rx.read_from(sp.b);
+    EXPECT_EQ(r.bytes, read_chunk) << "one read never exceeds read_chunk";
+    drain();
+    EXPECT_EQ(sizes.size(), 3u);
+    r = rx.read_from(sp.b);
+    EXPECT_EQ(r.bytes, big + frame_header_size - read_chunk);
+    drain();
+    ASSERT_EQ(sizes.size(), 4u);
+    EXPECT_EQ(sizes[3], big);
+
+    r = rx.read_from(sp.b);  // open, nothing queued
+    EXPECT_EQ(r.bytes, 0u);
+    EXPECT_EQ(r.status, ReadResult::Status::again);
+
+    ::close(sp.a);
+    sp.a = -1;
+    r = rx.read_from(sp.b);
+    EXPECT_EQ(r.bytes, 0u);
+    EXPECT_EQ(r.status, ReadResult::Status::eof);
 }
 
 TEST(SendQueueTest, BurstOfFramesFlushesInOneWritev) {
@@ -500,6 +549,127 @@ TEST(NetShardTest, BusyPollWindowStillDeliversEverything) {
     ping.shutdown();
     echo.shutdown();
     EXPECT_EQ(completed.load(), 200);
+}
+
+// --- one read per readiness event, end to end --------------------------------
+
+// Records every payload it receives, in arrival order.
+class Sink final : public Process {
+public:
+    void on_start(Context&) override {}
+    void on_message(Context&, ProcessId, const BufferSlice& bytes) override {
+        {
+            const std::lock_guard<std::mutex> guard(mutex_);
+            got_.emplace_back(bytes.begin(), bytes.end());
+        }
+        count_.fetch_add(1);
+    }
+    void on_timer(Context&, TimerId) override {}
+
+    bool await(std::size_t n, Duration timeout) const {
+        const auto deadline = std::chrono::steady_clock::now() +
+                              std::chrono::nanoseconds(timeout);
+        while (count_.load() < n) {
+            if (std::chrono::steady_clock::now() > deadline) return false;
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        return true;
+    }
+    std::vector<Bytes> got() const {
+        const std::lock_guard<std::mutex> guard(mutex_);
+        return got_;
+    }
+
+private:
+    mutable std::mutex mutex_;
+    std::vector<Bytes> got_;
+    std::atomic<std::size_t> count_{0};
+};
+
+// Payload `i` of `n` bytes: a tag that is not the batch-frame tag, the
+// index, then a pattern of (i, offset) — loss, duplication, reordering and
+// corruption all show up as a mismatch against the sent sequence.
+Buffer stream_payload(std::uint32_t i, std::size_t n) {
+    Bytes b(n);
+    for (std::size_t k = 0; k < n; ++k)
+        b[k] = static_cast<std::uint8_t>(i * 131u + k * 7u + k / 251u);
+    b[0] = 0xa5;
+    for (std::size_t k = 1; k < n && k < 5; ++k)
+        b[k] = static_cast<std::uint8_t>(i >> (8 * (k - 1)));
+    return Buffer(std::move(b));
+}
+
+enum class Closer { sender, receiver };
+
+// Streams payloads of 1 B, 64 KiB - 1, 64 KiB + 1 and 1 MiB, interleaved
+// with a burst of 10k small frames, from a process in one world to a
+// process in another. Frames above the 64 KiB read cap take several reads,
+// and so several poll turns, to reassemble. Between the two halves ONE
+// world drops its connections: its peer learns of it from a read that
+// returns EOF with nothing queued (or from a failed write), redials, and
+// the channel must lose, duplicate and reorder nothing.
+void stream_mixed_sizes_across_close(Closer closer) {
+    NetConfig cfg;
+    cfg.shards = 2;
+    cfg.epoch = std::chrono::steady_clock::now();
+    const Topology topo(1, 1, 1);
+    NetWorld tx_world(topo, 31, cfg);
+    NetWorld rx_world(topo, 32, cfg);
+    tx_world.add_process(0, std::make_unique<Sink>());  // sends only
+    auto sink_owned = std::make_unique<Sink>();
+    const Sink& sink = *sink_owned;
+    rx_world.add_process(1, std::move(sink_owned));
+    ClusterMap map;
+    map.endpoints = {{"127.0.0.1", tx_world.port_of(0)},
+                     {"127.0.0.1", rx_world.port_of(1)}};
+    tx_world.set_cluster(map);
+    rx_world.set_cluster(map);
+    rx_world.start();
+    tx_world.start();
+
+    constexpr std::size_t small = 16;
+    constexpr int burst_quarter = 2500;
+    std::vector<Buffer> sent;
+    auto send_half = [&](std::size_t first_big, std::size_t second_big) {
+        std::vector<Buffer> half;
+        for (const std::size_t big : {first_big, second_big}) {
+            half.push_back(stream_payload(
+                static_cast<std::uint32_t>(sent.size() + half.size()), big));
+            for (int k = 0; k < burst_quarter; ++k)
+                half.push_back(stream_payload(
+                    static_cast<std::uint32_t>(sent.size() + half.size()),
+                    small));
+        }
+        sent.insert(sent.end(), half.begin(), half.end());
+        tx_world.run_on(0, [half](Context& ctx) {
+            for (const Buffer& b : half) ctx.send(1, b);
+        });
+    };
+
+    send_half(1, 64 * 1024 - 1);
+    ASSERT_TRUE(sink.await(sent.size(), seconds(60)));
+    (closer == Closer::sender ? tx_world : rx_world).drop_connections();
+    send_half(64 * 1024 + 1, 1024 * 1024);
+    EXPECT_TRUE(sink.await(sent.size(), seconds(60)));
+    tx_world.shutdown();
+    rx_world.shutdown();
+
+    const std::vector<Bytes> got = sink.got();
+    ASSERT_EQ(got.size(), sent.size());
+    for (std::size_t i = 0; i < sent.size(); ++i) {
+        ASSERT_EQ(got[i].size(), sent[i].size()) << "payload " << i;
+        ASSERT_TRUE(std::equal(got[i].begin(), got[i].end(),
+                               sent[i].data()))
+            << "payload " << i << " corrupted or out of order";
+    }
+}
+
+TEST(OneReadRuleTest, MixedFrameSizesSurviveSenderSideClose) {
+    stream_mixed_sizes_across_close(Closer::sender);
+}
+
+TEST(OneReadRuleTest, MixedFrameSizesSurviveReceiverSideClose) {
+    stream_mixed_sizes_across_close(Closer::receiver);
 }
 
 }  // namespace
