@@ -7,11 +7,9 @@
 // target, not absolute msgs/s.
 #include "bench_load.hpp"
 
-int main(int argc, char** argv) {
+int main() {
     using namespace wbam;
     bench::SweepSetup setup;
-    setup.runtime = bench::runtime_from_args(argc, argv);
-    setup.net_shards = bench::net_shards_from_args(argc, argv);
     setup.name = "Figure 7 (LAN, CloudLab-like)";
     setup.json_tag = "fig7";
     // ~0.1 ms RTT: one-way 40-60 us.

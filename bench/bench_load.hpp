@@ -7,7 +7,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -17,48 +16,11 @@
 
 namespace wbam::bench {
 
-// Parses --runtime={sim,threaded,net} from the bench argv (falling back to
-// the WBAM_RUNTIME environment variable). Unknown values abort loudly:
-// silently running the wrong runtime would corrupt a figure.
-inline harness::RuntimeKind runtime_from_args(int argc, char** argv) {
-    const char* value = std::getenv("WBAM_RUNTIME");
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--runtime=", 10) == 0) value = argv[i] + 10;
-    }
-    if (value == nullptr) return harness::RuntimeKind::sim;
-    const auto kind = harness::parse_runtime_kind(value);
-    if (!kind) {
-        std::fprintf(stderr, "unknown --runtime=%s (sim|threaded|net)\n",
-                     value);
-        std::exit(2);
-    }
-    return *kind;
-}
-
-// Parses --net-shards=N (falling back to WBAM_NET_SHARDS). Only the net
-// runtime reads it; 0 = auto (hardware concurrency).
-inline int net_shards_from_args(int argc, char** argv) {
-    const char* value = std::getenv("WBAM_NET_SHARDS");
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--net-shards=", 13) == 0)
-            value = argv[i] + 13;
-    }
-    if (value == nullptr) return 0;
-    char* end = nullptr;
-    const long n = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || n < 0 || n > 64) {
-        std::fprintf(stderr, "bad --net-shards=%s (range 0..64)\n", value);
-        std::exit(2);
-    }
-    return static_cast<int>(n);
-}
-
 struct SweepSetup {
     const char* name = "";
     // "fig7" / "fig8": tags the emitted BENCH_<tag>.json (path override:
     // the BENCH_FIG_JSON environment variable; empty tag = no JSON).
     const char* json_tag = "";
-    harness::RuntimeKind runtime = harness::RuntimeKind::sim;
     std::function<std::unique_ptr<sim::DelayModel>()> make_delays;
     sim::CpuModel cpu;
     std::vector<int> client_counts;
@@ -66,7 +28,6 @@ struct SweepSetup {
     int groups = 10;
     int group_size = 3;
     bool staggered_leaders = false;
-    int net_shards = 0;  // net runtime only; 0 = auto
     Duration warmup = milliseconds(200);
     std::uint64_t target_ops = 2500;
     Duration min_measure = milliseconds(500);
@@ -106,28 +67,11 @@ struct SweepPoint {
 
 inline void run_sweep(const SweepSetup& setup) {
     using harness::ProtocolKind;
-    using harness::RuntimeKind;
     const ProtocolKind kinds[] = {ProtocolKind::wbcast, ProtocolKind::fastcast,
                                   ProtocolKind::ftskeen};
-    // The wall-clock runtimes spawn one OS thread (threaded) or one poll
-    // loop (net) per process: a 1400-client sweep point would be 1430
-    // threads. Cap the client axis so --runtime=threaded/net stays a
-    // sanity-scale run; the full axis is the simulator's job.
-    std::vector<int> client_counts = setup.client_counts;
-    if (setup.runtime != RuntimeKind::sim) {
-        std::vector<int> capped;
-        for (const int c : client_counts)
-            if (c <= 64) capped.push_back(c);
-        if (capped.empty()) capped.push_back(16);
-        client_counts = capped;
-        std::printf("(runtime=%s: client axis capped at 64 — wall-clock "
-                    "runtimes run one OS thread per process)\n",
-                    harness::to_string(setup.runtime));
-    }
     std::printf("=== %s: latency vs throughput, %d groups x %d replicas, "
-                "20-byte messages, runtime=%s ===\n",
-                setup.name, setup.groups, setup.group_size,
-                harness::to_string(setup.runtime));
+                "20-byte messages, runtime=sim ===\n",
+                setup.name, setup.groups, setup.group_size);
     // protocol -> d -> points; kept for the cross-protocol summary.
     std::map<int, std::map<int, std::vector<SweepPoint>>> all;
     for (const ProtocolKind kind : kinds) {
@@ -136,9 +80,8 @@ inline void run_sweep(const SweepSetup& setup) {
                         harness::to_string(kind), d);
             std::printf("%8s %16s %14s %12s %12s\n", "clients", "msgs/s",
                         "mean ms", "p50 ms", "p99 ms");
-            for (const int clients : client_counts) {
+            for (const int clients : setup.client_counts) {
                 harness::ExperimentConfig cfg;
-                cfg.runtime = setup.runtime;
                 cfg.kind = kind;
                 cfg.groups = setup.groups;
                 cfg.group_size = setup.group_size;
@@ -148,7 +91,6 @@ inline void run_sweep(const SweepSetup& setup) {
                 cfg.make_delays = setup.make_delays;
                 cfg.cpu = setup.cpu;
                 cfg.replica = quiet_replica_config();
-                cfg.net_shards = setup.net_shards;
                 cfg.seed = static_cast<std::uint64_t>(clients) * 31 +
                            static_cast<std::uint64_t>(d);
                 cfg.warmup = setup.warmup;
@@ -170,11 +112,9 @@ inline void run_sweep(const SweepSetup& setup) {
         harness::FigReport report;
         report.bench = setup.json_tag;
         report.name = setup.name;
-        report.runtime = harness::to_string(setup.runtime);
+        report.runtime = "sim";
         report.groups = setup.groups;
         report.group_size = setup.group_size;
-        if (setup.runtime == RuntimeKind::net)
-            report.net_shards = setup.net_shards;
         for (const ProtocolKind kind : kinds) {
             for (const int d : setup.dest_group_counts) {
                 harness::FigSeries series;

@@ -18,7 +18,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <thread>
@@ -29,7 +28,6 @@
 #include "ftskeen/ftskeen.hpp"
 #include "harness/cluster.hpp"
 #include "harness/live_cluster.hpp"
-#include "harness/runtime.hpp"
 #include "common/process.hpp"
 #include "common/rng.hpp"
 #include "common/topology.hpp"
@@ -876,8 +874,9 @@ void write_bench_json() {
 
 // White-box stage breakdown of whatever protocol rounds the benchmarks
 // drove (BM_WbcastDeliveryRoundTrip fills stage/wbcast/* in the global
-// registry; on the sim runtime the durations are virtual time). Same
-// table shape as `wbamctl run`, one per protocol seen.
+// registry; /sim records virtual time and /net wall time, so filter to one
+// capture to read either alone). Same table shape as `wbamctl run`, one
+// per protocol seen.
 void print_stage_tables() {
     const obs::MetricsSnapshot snap = obs::metrics().snapshot();
     std::vector<std::string> protos;
@@ -956,23 +955,20 @@ void BM_SimEventThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_SimEventThroughput)->Unit(benchmark::kMillisecond);
 
-// --- full delivery round trip on the selected runtime ------------------------
+// --- full delivery round trip, sim and net ----------------------------------
 //
 // One closed-loop multicast to both groups of a 2x3 wbcast cluster,
-// measured issue -> delivered by every destination group. The runtime is
-// selected with --runtime={sim,threaded,net} (satellite of the net-runtime
-// PR): sim measures the simulator's wall cost of a virtual round, threaded
-// adds real thread handoffs and injected delays, net runs the identical
-// protocol over loopback TCP sockets — the paper's deployment shape in
+// measured issue -> delivered by every destination group. Two captures:
+// /sim measures the simulator's wall cost of a virtual round
+// (harness::Cluster); /net runs the identical protocol over loopback TCP
+// sockets (harness::LiveCluster) — the paper's deployment shape in
 // miniature.
-harness::RuntimeKind g_bench_runtime = harness::RuntimeKind::sim;
-
-void BM_WbcastDeliveryRoundTrip(benchmark::State& state) {
+void BM_WbcastDeliveryRoundTrip(benchmark::State& state, bool over_net) {
     ReplicaConfig replica;
     replica.heartbeat_interval = milliseconds(50);
     replica.suspect_timeout = seconds(30);  // quiet failure machinery
     replica.retry_interval = seconds(10);
-    if (g_bench_runtime == harness::RuntimeKind::sim) {
+    if (!over_net) {
         harness::ClusterConfig cfg;
         cfg.kind = harness::ProtocolKind::wbcast;
         cfg.groups = 2;
@@ -990,7 +986,6 @@ void BM_WbcastDeliveryRoundTrip(benchmark::State& state) {
         }
     } else {
         harness::LiveClusterConfig cfg;
-        cfg.runtime = g_bench_runtime;
         cfg.kind = harness::ProtocolKind::wbcast;
         cfg.groups = 2;
         cfg.group_size = 3;
@@ -1007,9 +1002,11 @@ void BM_WbcastDeliveryRoundTrip(benchmark::State& state) {
         cluster.shutdown();
     }
     state.SetItemsProcessed(state.iterations());
-    state.SetLabel(harness::to_string(g_bench_runtime));
 }
-BENCHMARK(BM_WbcastDeliveryRoundTrip)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_WbcastDeliveryRoundTrip, sim, false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_WbcastDeliveryRoundTrip, net, true)
+    ->Unit(benchmark::kMicrosecond);
 
 // --- GC round cost vs. retained history --------------------------------------
 //
@@ -1117,27 +1114,6 @@ BENCHMARK(BM_RngNext);
 }  // namespace wbam
 
 int main(int argc, char** argv) {
-    // Strip --runtime=... before google-benchmark sees the argv (it rejects
-    // unknown flags); WBAM_RUNTIME is honoured as the fallback.
-    if (const char* env = std::getenv("WBAM_RUNTIME")) {
-        if (const auto kind = wbam::harness::parse_runtime_kind(env))
-            wbam::g_bench_runtime = *kind;
-    }
-    int kept = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--runtime=", 10) == 0) {
-            const auto kind = wbam::harness::parse_runtime_kind(argv[i] + 10);
-            if (!kind) {
-                std::fprintf(stderr, "unknown %s (sim|threaded|net)\n",
-                             argv[i]);
-                return 2;
-            }
-            wbam::g_bench_runtime = *kind;
-        } else {
-            argv[kept++] = argv[i];
-        }
-    }
-    argc = kept;
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
     benchmark::RunSpecifiedBenchmarks();

@@ -410,7 +410,6 @@ int cmd_sim(const CtlOptions& o) {
         return 2;
     }
     harness::ExperimentConfig cfg;
-    cfg.runtime = harness::RuntimeKind::sim;
     cfg.kind = o.proto;
     cfg.groups = spec->groups;
     cfg.group_size = spec->group_size;

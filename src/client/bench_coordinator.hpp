@@ -30,20 +30,11 @@ public:
     void set_window(TimePoint start, TimePoint end) {
         sampler_.set_window(start, end);
     }
-    // Closes an open-ended window at `end` (the wall-clock experiment
-    // runner calls it at measure_end so the shutdown drain cannot inflate
-    // a window whose duration is already fixed).
-    void close_window(TimePoint end) { sampler_.close_window(end); }
 
-    LatencySampler& sampler() { return sampler_; }
     const stats::Histogram& latency() const { return sampler_.latency(); }
     std::uint64_t completed_in_window() const {
         return sampler_.completed_in_window();
     }
-    std::uint64_t completed_total() const {
-        return sampler_.completed_total();
-    }
-    std::size_t outstanding() const { return sampler_.outstanding(); }
 
 private:
     Topology topo_;

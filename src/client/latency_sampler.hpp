@@ -21,9 +21,9 @@
 
 namespace wbam::client {
 
-// Thread-safe: deliveries may be noted from replica threads and issues
-// from client threads on the wall-clock runtimes; under the simulator the
-// uncontended lock is noise. latency() is a snapshot accessor for a
+// Thread-safe: on the TCP runtime deliveries and issues may be noted from
+// different event-loop threads; under the simulator the uncontended lock
+// is noise. latency() is a snapshot accessor for a
 // quiesced run — read it after the world has shut down.
 class LatencySampler {
 public:
@@ -72,13 +72,6 @@ public:
         completed_in_window_ = 0;
         latency_.clear();
         samples_.clear();
-    }
-
-    // Closes an open-ended window at `end`, preserving what it counted.
-    // Completions after this point no longer count or record samples.
-    void close_window(TimePoint end) {
-        const std::lock_guard<std::mutex> guard(mutex_);
-        window_end_ = end;
     }
 
     // Raw samples accumulated since the last drain (streamed to the

@@ -1,12 +1,13 @@
 // Runtime-agnostic process model. Every protocol participant (replica,
 // client, workload driver) implements Process and is driven by a runtime
-// (discrete-event simulator or the threaded real-time runtime) through
-// Context. Handlers run single-threaded per process in both runtimes.
+// (the discrete-event simulator sim::World or the TCP runtime
+// net::NetWorld) through Context. Handlers run single-threaded per process
+// in both runtimes.
 //
 // The wire path is zero-copy: senders hand the runtime a BufferSlice view
-// of an immutable ref-counted Buffer; runtimes retain the slice (mailboxes
-// and in-flight events hold slices, not byte vectors) and hand the same
-// storage to every recipient of a fan-out.
+// of an immutable ref-counted Buffer; runtimes retain the slice (in-flight
+// events and outbound send queues hold slices, not byte vectors) and hand
+// the same storage to every recipient of a fan-out.
 #ifndef WBAM_COMMON_PROCESS_HPP
 #define WBAM_COMMON_PROCESS_HPP
 

@@ -1,93 +1,10 @@
 #include "harness/experiment.hpp"
 
-#include <chrono>
-#include <thread>
-
-#include "common/assert.hpp"
-#include "harness/live_cluster.hpp"
 #include "sim/network.hpp"
 
 namespace wbam::harness {
 
-namespace {
-
-// Wall-clock variant: the same replicas and closed-loop clients on the
-// threaded runtime or on per-process NetWorlds over loopback TCP.
-ExperimentResult run_experiment_live(const ExperimentConfig& cfg) {
-    const Topology topo(cfg.groups, cfg.group_size, cfg.clients,
-                        cfg.staggered_leaders);
-    client::BenchCoordinator coordinator(topo);
-    DeliverySink sink = coordinator.make_sink();
-    client::LoadPattern pattern;
-    pattern.dest_groups = cfg.dest_groups;
-    pattern.payload_size = cfg.payload;
-
-    auto factory = [&](ProcessId p) -> std::unique_ptr<Process> {
-        if (topo.is_replica(p))
-            return make_replica(cfg.kind, topo, p, sink, cfg.replica);
-        return std::make_unique<client::LoadClient>(topo, &coordinator,
-                                                    pattern);
-    };
-
-    std::unique_ptr<runtime::ThreadedWorld> threaded;
-    std::vector<std::unique_ptr<net::NetWorld>> nets;
-    auto runtime_now = [&]() -> TimePoint {
-        return threaded ? threaded->now() : nets.front()->now();
-    };
-
-    if (cfg.runtime == RuntimeKind::threaded) {
-        auto delays = cfg.make_delays
-                          ? cfg.make_delays()
-                          : std::make_unique<sim::UniformDelay>(microseconds(50));
-        threaded = std::make_unique<runtime::ThreadedWorld>(
-            topo, std::move(delays), cfg.seed);
-        for (ProcessId p = 0; p < topo.num_processes(); ++p)
-            threaded->add_process(p, factory(p));
-        threaded->start();
-    } else {
-        net::NetConfig base;
-        base.shards = cfg.net_shards;
-        nets = make_loopback_worlds(topo, cfg.seed, factory, base);
-        for (auto& world : nets) world->start();
-    }
-
-    const auto sleep_ns = [](Duration d) {
-        std::this_thread::sleep_for(std::chrono::nanoseconds(d));
-    };
-    sleep_ns(cfg.warmup);
-
-    const TimePoint measure_start = runtime_now();
-    coordinator.set_window(measure_start, time_never);
-    const TimePoint deadline = measure_start + cfg.max_measure;
-    while (runtime_now() < deadline &&
-           (coordinator.completed_in_window() < cfg.target_ops ||
-            runtime_now() - measure_start < cfg.min_measure))
-        sleep_ns(milliseconds(5));
-    const TimePoint measure_end = runtime_now();
-    // The shutdown drain below keeps delivering; completions past
-    // measure_end must not count into a window whose duration is fixed.
-    coordinator.close_window(measure_end);
-
-    // Quiesce before reading the unlocked accessors (latency histogram).
-    if (threaded) threaded->shutdown();
-    for (auto& world : nets) world->shutdown();
-
-    ExperimentResult result;
-    result.ops = coordinator.completed_in_window();
-    const double window_s = to_secs(measure_end - measure_start);
-    result.throughput_ops_s =
-        window_s > 0 ? static_cast<double>(result.ops) / window_s : 0;
-    result.mean_ms = coordinator.latency().mean() / 1e6;
-    result.p50_ms = to_millis(coordinator.latency().percentile(0.50));
-    result.p99_ms = to_millis(coordinator.latency().percentile(0.99));
-    result.sim_seconds = to_secs(measure_end);
-    return result;
-}
-
-}  // namespace
-
 ExperimentResult run_experiment(const ExperimentConfig& cfg) {
-    if (cfg.runtime != RuntimeKind::sim) return run_experiment_live(cfg);
     const Topology topo(cfg.groups, cfg.group_size, cfg.clients,
                         cfg.staggered_leaders);
     auto delays = cfg.make_delays
@@ -133,8 +50,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     result.mean_ms = coordinator.latency().mean() / 1e6;
     result.p50_ms = to_millis(coordinator.latency().percentile(0.50));
     result.p99_ms = to_millis(coordinator.latency().percentile(0.99));
-    result.events = world.events_processed();
-    result.sim_seconds = to_secs(measure_end);
     return result;
 }
 

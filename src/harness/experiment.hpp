@@ -1,21 +1,18 @@
 // Closed-loop load experiment driver for the Fig. 7 / Fig. 8 benchmarks:
-// builds a cluster of the requested protocol ON the requested runtime,
-// attaches closed-loop load clients, runs a warmup phase, then measures
-// throughput and the paper's latency metric over a window. Under
-// RuntimeKind::sim the window is virtual time and the run is
-// deterministic; under threaded/net the same processes run on real
-// threads / real loopback sockets and the window is wall clock.
+// builds a simulated cluster of the requested protocol, attaches
+// closed-loop load clients, runs a warmup phase, then measures throughput
+// and the paper's latency metric over a window of virtual time. The run
+// is deterministic. Wall-clock figures come from the distributed bench
+// plane instead (src/ctrl/, driven by `wbamctl run`).
 #ifndef WBAM_HARNESS_EXPERIMENT_HPP
 #define WBAM_HARNESS_EXPERIMENT_HPP
 
 #include "client/load_client.hpp"
 #include "harness/cluster.hpp"
-#include "harness/runtime.hpp"
 
 namespace wbam::harness {
 
 struct ExperimentConfig {
-    RuntimeKind runtime = RuntimeKind::sim;
     ProtocolKind kind = ProtocolKind::wbcast;
     int groups = 10;
     int group_size = 3;
@@ -26,9 +23,6 @@ struct ExperimentConfig {
     std::function<std::unique_ptr<sim::DelayModel>()> make_delays;
     sim::CpuModel cpu;
     ReplicaConfig replica;
-    // Transport shard count per NetWorld (RuntimeKind::net only):
-    // 0 = auto (hardware concurrency).
-    int net_shards = 0;
     std::uint64_t seed = 1;
     Duration warmup = milliseconds(200);
     // The measurement window closes once target_ops completions AND
@@ -45,8 +39,6 @@ struct ExperimentResult {
     double p50_ms = 0;
     double p99_ms = 0;
     std::uint64_t ops = 0;
-    std::uint64_t events = 0;  // simulator only (0 on wall-clock runtimes)
-    double sim_seconds = 0;    // simulated (sim) or wall-clock (threaded/net)
 };
 
 ExperimentResult run_experiment(const ExperimentConfig& cfg);

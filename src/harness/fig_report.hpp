@@ -45,13 +45,13 @@ struct FigSeries {
 struct FigReport {
     std::string bench;    // "fig7" | "fig8"
     std::string name;     // human-readable setup line
-    std::string runtime;  // "sim" | "threaded" | "net" | "net-distributed"
+    std::string runtime;  // "sim" | "net-distributed"
     int groups = 0;
     int group_size = 0;
     std::uint32_t payload = 20;
-    // Transport shard count the run was launched with (net runtimes only;
-    // 0 = auto or not applicable). Emitted so perf deltas across reports
-    // are attributable to the event-loop configuration.
+    // Transport shard count the run was launched with (net-distributed
+    // only; 0 = auto or not applicable). Emitted so perf deltas across
+    // reports are attributable to the event-loop configuration.
     int net_shards = 0;
     // Distributed runs only (0/0 on in-process runs): how the load was
     // spread across OS processes and how many raw samples were streamed.

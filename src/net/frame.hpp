@@ -5,8 +5,8 @@
 //          every connection: the peer-identity handshake, keyed by
 //          ProcessId, never by address.
 //   DATA   [seq varint][envelope bytes]               — one codec
-//          envelope (or batch frame), exactly as the in-process runtimes
-//          carry it, tagged with the channel sequence number.
+//          envelope (or batch frame), exactly as the simulator carries
+//          it, tagged with the channel sequence number.
 //   ACK    [upto varint]                              — cumulative ack of
 //          the REVERSE channel's DATA sequence (travels on the receiving
 //          side's own outbound connection).
@@ -16,7 +16,7 @@
 // acked and retransmits them, in order, over a re-dialled connection;
 // the receiver's per-channel cursor drops the duplicates. A connection
 // drop therefore delays frames instead of losing them — same channel
-// semantics as the simulator and the threaded runtime.
+// semantics as the simulator.
 //
 // The zero-copy Buffer/BufferSlice path extends to the socket boundary:
 //

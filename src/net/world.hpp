@@ -1,11 +1,11 @@
 // The TCP runtime: a sharded poll(2) event-loop world whose NetContext
 // implements the same Process/Context contract as the discrete-event
-// simulator and the threaded runtime, but whose channels are real
-// sockets. One NetWorld hosts one or more local processes (one per OS
-// process in a deployed cluster — see examples/wbamd.cpp — or one per
-// ProcessId when an in-process test wires several worlds over loopback)
-// and speaks length-prefixed frames (net/frame.hpp) carrying the exact
-// envelope bytes the in-process runtimes carry.
+// simulator, but whose channels are real sockets. One NetWorld hosts one
+// or more local processes (one per OS process in a deployed cluster — see
+// examples/wbamd.cpp — or one per ProcessId when an in-process test wires
+// several worlds over loopback) and speaks length-prefixed frames
+// (net/frame.hpp) carrying the exact envelope bytes the simulator
+// carries.
 //
 // Sharding (NetConfig::shards, default = hardware concurrency): the
 // world runs N event-loop worker threads. Ownership replaces locking —
@@ -44,14 +44,13 @@
 // everything unacked, in order, and the receiver's channel cursor drops
 // duplicates — so a connection drop DELAYS frames instead of losing
 // them, preserving the reliable-FIFO channel contract of Context::send
-// that the other runtimes provide (and that e.g. wbcast's fire-once
+// that the simulator provides (and that e.g. wbcast's fire-once
 // DELIVER plane depends on). Cumulative ACKs never trigger their own
 // write: they piggyback on the next coalesced flush of the reverse
 // connection, or ride a short delayed-ack timer (NetConfig::ack_delay)
 // when no data is flowing.
 //
-// Graceful-shutdown contract (shared with runtime::ThreadedWorld, see
-// runtime/threaded.hpp): shutdown() first DRAINS — frames already
+// Graceful-shutdown contract: shutdown() first DRAINS — frames already
 // received and local sends already queued are delivered, and outbound
 // queues are flushed to the kernel (bounded by NetConfig::drain_wait) —
 // then joins every loop thread. Quiescence is detected across shards: a

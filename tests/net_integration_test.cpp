@@ -11,9 +11,11 @@
 // re-dialled connections.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "harness/live_cluster.hpp"
@@ -25,13 +27,11 @@ namespace {
 using harness::LiveCluster;
 using harness::LiveClusterConfig;
 using harness::ProtocolKind;
-using harness::RuntimeKind;
 
 // Wall-clock protocol knobs: fast enough to finish promptly, quiet enough
 // not to trip failure handling on slow sanitizer runs.
 LiveClusterConfig net_config(ProtocolKind kind, std::uint64_t seed) {
     LiveClusterConfig cfg;
-    cfg.runtime = RuntimeKind::net;
     cfg.kind = kind;
     cfg.groups = 2;
     // Skeen's classic protocol assumes reliable singleton groups.
@@ -86,8 +86,8 @@ TEST(NetIntegrationTest, FastcastDeliversOverLoopbackTcp) {
     run_protocol_over_loopback(ProtocolKind::fastcast, 19);
 }
 
-// Batch frames must unwrap at the socket boundary exactly as they do on
-// the in-process runtimes.
+// Batch frames must unwrap at the socket boundary exactly as they do in
+// the simulator.
 TEST(NetIntegrationTest, BatchedWbcastDeliversOverLoopbackTcp) {
     run_protocol_over_loopback(ProtocolKind::wbcast, 23, /*batching=*/true);
 }
