@@ -316,15 +316,9 @@ int main(int argc, char** argv) {
                               boot->map.of(o.pid).port);
         }
     } else if (topo.is_replica(o.pid)) {
-        DeliverySink sink = [&](Context& ctx, GroupId group,
-                                const AppMessage& m) {
-            {
-                const std::lock_guard<std::mutex> guard(deliveries_mutex);
-                deliveries.push_back(m.id);
-            }
-            const ProcessId origin = msg_id_client(m.id);
-            if (topo.is_client(origin))
-                ctx.send(origin, encode_deliver_ack(group, m.id));
+        DeliverySink sink = [&](Context&, GroupId, const AppMessage& m) {
+            const std::lock_guard<std::mutex> guard(deliveries_mutex);
+            deliveries.push_back(m.id);
         };
         ReplicaConfig replica;
         replica.heartbeat_interval = milliseconds(50);
@@ -332,8 +326,8 @@ int main(int argc, char** argv) {
         replica.retry_interval = milliseconds(200);
         if (wal_log) replica.wal = &*wal_log;
         world.add_process(o.pid,
-                          harness::make_replica(o.proto, topo, o.pid, sink,
-                                                replica),
+                          harness::make_acking_replica(o.proto, topo, o.pid,
+                                                       sink, replica),
                           boot->map.of(o.pid).port);
     } else {
         world.add_process(o.pid,

@@ -70,6 +70,11 @@ public:
     virtual void on_message(Context& ctx, ProcessId from,
                             const BufferSlice& bytes) = 0;
     virtual void on_timer(Context& ctx, TimerId id) = 0;
+
+    // A process that hosts another one (a decorator) returns it, so
+    // introspection such as sim::World::process_as reaches the protocol
+    // object underneath.
+    virtual Process* wrapped() { return nullptr; }
 };
 
 }  // namespace wbam

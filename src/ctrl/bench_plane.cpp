@@ -21,7 +21,7 @@ constexpr Duration tick_interval = milliseconds(50);
 NodeShim::NodeShim(Topology topo, ProcessId self, ProcessId coordinator,
                    std::atomic<bool>* shutdown_flag, wal::Log* wal)
     : topo_(std::move(topo)), self_(self), coordinator_(coordinator),
-      shutdown_flag_(shutdown_flag), wal_(wal) {
+      shutdown_flag_(shutdown_flag), wal_(wal), acks_(topo_, self_) {
     WBAM_ASSERT(topo_.is_replica(self_));
     if (wal_ == nullptr) return;
     // Rebuild the pre-crash delivery sequence from our own records. The
@@ -34,6 +34,9 @@ NodeShim::NodeShim(Topology topo, ProcessId self, ProcessId coordinator,
         if (r.type != wal::tag(wal::RecordType::app_delivered)) continue;
         const MsgId id = wal::decode_app_delivered(r.body);
         if (!replayed_.insert(id).second) continue;  // tolerate duplicates
+        // A client resending an op delivered before the crash is re-acked
+        // even if the replica's replay suppresses the delivery.
+        acks_.restore(id);
         deliveries_.push_back(id);
         digest_ = fold_delivery_digest(digest_, id);
     }
@@ -63,6 +66,7 @@ void NodeShim::on_message(Context& ctx, ProcessId from,
         early_mail_.emplace_back(from, bytes);
         return;
     }
+    acks_.on_request(ctx, from, bytes);
     inner_->on_message(ctx, from, bytes);
 }
 
@@ -109,9 +113,7 @@ void NodeShim::handle_ctrl(Context& ctx, const codec::EnvelopeView& env) {
                                     wal::encode_app_delivered(m.id));
                         }
                     }
-                    const ProcessId origin = msg_id_client(m.id);
-                    if (topo_.is_client(origin))
-                        c.send(origin, encode_deliver_ack(group, m.id));
+                    acks_.on_delivered(c, group, m.id);
                 };
                 ReplicaConfig rc = spec.replica_config();
                 rc.wal = wal_;
@@ -131,8 +133,10 @@ void NodeShim::handle_ctrl(Context& ctx, const codec::EnvelopeView& env) {
                             wal::encode_app_delivered(deliveries_[i]));
                     wal_->commit();
                 }
-                for (auto& [from, mail] : early_mail_)
+                for (auto& [from, mail] : early_mail_) {
+                    acks_.on_request(ctx, from, mail);
                     inner_->on_message(ctx, from, mail);
+                }
                 early_mail_.clear();
             }
             ctx.send(coordinator_, encode_ctrl(CtrlMsgType::spec_ok));

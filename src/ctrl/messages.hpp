@@ -19,6 +19,20 @@
 //                                 coordinator's per-group agreement check)
 //   coord -> node    SHUTDOWN     drain and exit
 //
+// Between START and SHUTDOWN the drivers speak the data plane
+// (codec::Module::client, multicast/api.hpp), not this module:
+//
+//   driver -> leader  MULTICAST    one per destination group, to the
+//                                  group's initial leader
+//   replica -> driver DELIVER_ACK  from a replica the driver sent the
+//                                  request to, once it delivered the op
+//                                  (multicast/client_ack.hpp): one per
+//                                  (op, group) in steady state
+//   driver -> members MULTICAST    resend of an op unacked after
+//                                  client_retry, to every member of each
+//                                  unacked group; members that already
+//                                  delivered re-ack at once
+//
 // All bodies use the shared codec (varints, zigzag), so malformed control
 // traffic is rejected by the same DecodeError path as protocol traffic.
 #ifndef WBAM_CTRL_MESSAGES_HPP

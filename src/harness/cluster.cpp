@@ -121,23 +121,16 @@ Cluster::Cluster(ClusterConfig cfg)
                                           cfg_.cpu);
     if (cfg_.trace_sends) world_->enable_send_trace(true);
 
-    const bool send_acks = cfg_.send_acks;
-    const Topology topo = topo_;
     DeliveryLog* log = &log_;
     DeliverySink extra = cfg_.extra_sink;
-    sink_ = [log, send_acks, topo, extra](Context& ctx, GroupId group,
-                                          const AppMessage& m) {
+    sink_ = [log, extra](Context& ctx, GroupId group, const AppMessage& m) {
         log->note_delivery(ctx.now(), ctx.self(), group, m);
         if (extra) extra(ctx, group, m);
-        if (!send_acks) return;
-        const ProcessId origin = msg_id_client(m.id);
-        if (topo.is_client(origin))
-            ctx.send(origin, encode_deliver_ack(group, m.id));
     };
 
     for (ProcessId p = 0; p < topo_.num_replicas(); ++p)
-        world_->add_process(p, make_replica(cfg_.kind, topo_, p, sink_,
-                                            replica_config_for(p)));
+        world_->add_process(p, make_acking_replica(cfg_.kind, topo_, p, sink_,
+                                                   replica_config_for(p)));
     for (int c = 0; c < topo_.num_clients(); ++c) {
         auto client = std::make_unique<ScriptedClient>(topo_, &log_,
                                                        cfg_.client_retry);
@@ -169,8 +162,9 @@ void Cluster::restart_replica(ProcessId p) {
         if (seen->erase(m.id)) return;
         base(ctx, group, m);
     };
-    world_->restart(p, make_replica(cfg_.kind, topo_, p, std::move(sink),
-                                    replica_config_for(p)));
+    world_->restart(p, make_acking_replica(cfg_.kind, topo_, p,
+                                           std::move(sink),
+                                           replica_config_for(p)));
 }
 
 ScriptedClient& Cluster::client(int idx) {

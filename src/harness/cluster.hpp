@@ -37,6 +37,14 @@ std::optional<ProtocolKind> parse_protocol_kind(std::string_view s);
 std::unique_ptr<Process> make_replica(ProtocolKind kind, const Topology& topo,
                                       ProcessId pid, DeliverySink sink,
                                       const ReplicaConfig& cfg);
+// make_replica behind the client-ack rule (multicast/client_ack.hpp): the
+// replica acks a delivery to the client iff that client asked it, after
+// `sink` has run. Every harness replica whose clients wait for acks is
+// built this way; ctrl::NodeShim applies the rule itself.
+std::unique_ptr<Process> make_acking_replica(ProtocolKind kind,
+                                             const Topology& topo,
+                                             ProcessId pid, DeliverySink sink,
+                                             const ReplicaConfig& cfg);
 
 // A scripted client: the harness enqueues multicasts; the client routes
 // them to the current leader guess of each destination group, collects
@@ -92,11 +100,9 @@ struct ClusterConfig {
     ReplicaConfig replica;
     bool trace_sends = false;
     Duration client_retry = milliseconds(500);
-    // Deliver acks from every delivering replica back to the originating
-    // client (drives the scripted clients' completion tracking).
-    bool send_acks = true;
     // Optional application layered over delivery (e.g. the kv store): runs
-    // after the log/ack bookkeeping, on the delivering replica.
+    // after the log bookkeeping and before the client ack, on the
+    // delivering replica.
     DeliverySink extra_sink;
     // Per-replica config override, applied after copying `replica` — the
     // crash-restart tests use it to hand each process its own wal::Log.
@@ -145,7 +151,7 @@ private:
     std::unique_ptr<sim::World> world_;
     std::vector<ScriptedClient*> clients_;
     std::unordered_map<ProcessId, std::uint32_t> next_seq_;
-    DeliverySink sink_;  // the log/ack sink handed to every replica
+    DeliverySink sink_;  // the log sink handed to every replica
 };
 
 }  // namespace wbam::harness

@@ -39,23 +39,16 @@ LiveCluster::LiveCluster(LiveClusterConfig cfg)
       next_seq_(static_cast<std::size_t>(topo_.num_processes()), 0) {
     // The delivery sink runs on replica loops: the log is the one
     // shared structure, guarded by log_mutex_.
-    const bool send_acks = cfg_.send_acks;
-    const Topology topo = topo_;
-    DeliverySink sink = [this, topo, send_acks](Context& ctx, GroupId group,
-                                                const AppMessage& m) {
-        {
-            const std::lock_guard<std::mutex> guard(log_mutex_);
-            log_.note_delivery(ctx.now(), ctx.self(), group, m);
-        }
-        if (!send_acks) return;
-        const ProcessId origin = msg_id_client(m.id);
-        if (topo.is_client(origin))
-            ctx.send(origin, encode_deliver_ack(group, m.id));
+    DeliverySink sink = [this](Context& ctx, GroupId group,
+                               const AppMessage& m) {
+        const std::lock_guard<std::mutex> guard(log_mutex_);
+        log_.note_delivery(ctx.now(), ctx.self(), group, m);
     };
 
     auto factory = [&](ProcessId p) -> std::unique_ptr<Process> {
         if (topo_.is_replica(p))
-            return make_replica(cfg_.kind, topo_, p, sink, cfg_.replica);
+            return make_acking_replica(cfg_.kind, topo_, p, sink,
+                                       cfg_.replica);
         // The multicast itself is recorded by LiveCluster::multicast before
         // it is posted (under the log lock), so the client's hook is empty.
         auto client = std::make_unique<ScriptedClient>(

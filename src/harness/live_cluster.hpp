@@ -40,7 +40,6 @@ struct LiveClusterConfig {
     Duration client_retry = milliseconds(300);
     // Transport knobs (epoch is overridden with a shared one).
     net::NetConfig net;
-    bool send_acks = true;
 };
 
 class LiveCluster {

@@ -19,14 +19,21 @@ class Log;
 namespace wbam {
 
 // Called by a replica protocol at the moment it delivers m. The sink may
-// send messages through ctx (e.g. an ack to the originating client).
+// send messages through ctx. The harness, wbamd and ctrl::NodeShim sinks
+// end in ClientAckRule::on_delivered (multicast/client_ack.hpp), which
+// sends the deliver_ack only if the client asked this replica; the
+// in-process client::BenchCoordinator sink acks the first delivery in
+// each group.
 using DeliverySink =
     std::function<void(Context& ctx, GroupId group, const AppMessage& m)>;
 
 // Wire types within codec::Module::client.
 enum class ClientMsgType : std::uint8_t {
     multicast = 0,    // client -> replicas: body AppMessage
-    deliver_ack = 1,  // replica -> client: body {group}
+    // replica -> client: body {group}. Sent by a replica the client sent
+    // the request to, once it has delivered the op: one per (op, group)
+    // in steady state, more on the client's resend path.
+    deliver_ack = 1,
 };
 
 // Body of a deliver_ack: which group delivered.

@@ -14,6 +14,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/process.hpp"
 #include "common/topology.hpp"
 #include "sim/network.hpp"
@@ -67,9 +68,14 @@ public:
     // -- setup ---------------------------------------------------------------
     void add_process(ProcessId id, std::unique_ptr<Process> p);
     Process& process(ProcessId id);
+    // The process registered under id, or the first one it wraps (see
+    // Process::wrapped) that is a T.
     template <typename T>
     T& process_as(ProcessId id) {
-        return static_cast<T&>(process(id));
+        for (Process* p = &process(id); p != nullptr; p = p->wrapped())
+            if (auto* t = dynamic_cast<T*>(p)) return *t;
+        detail::assert_fail("process_as", __FILE__, __LINE__,
+                            "no process of the requested type");
     }
 
     // -- execution -------------------------------------------------------
