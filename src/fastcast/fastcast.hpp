@@ -29,11 +29,7 @@
 #include <map>
 #include <unordered_map>
 
-#include "elect/elector.hpp"
-#include "multicast/api.hpp"
-#include "multicast/gc_floor.hpp"
-#include "obs/stage.hpp"
-#include "paxos/multipaxos.hpp"
+#include "paxos/rsm_replica.hpp"
 
 namespace wbam::fastcast {
 
@@ -41,8 +37,9 @@ enum class MsgType : std::uint8_t {
     spec_propose = 0,   // leader -> dest leaders: tentative local timestamp
     confirm = 1,        // leader -> dest leaders: durable local timestamp
     deliver_floor = 2,  // leader -> own group: release deliveries up to gts
-    gc_status = 3,      // member -> leader: {max_delivered_gts} (app-log GC)
-    gc_prune = 4,       // leader -> group: {floor} (app-log GC)
+    // The delivered-floor GC exchange (multicast/replica_core.hpp).
+    gc_status = 3,      // member -> leader: {max_delivered_gts}
+    gc_prune = 4,       // leader -> group: {floor}
 };
 
 struct SpecProposeMsg {
@@ -94,14 +91,6 @@ struct DeliverFloorMsg {
     }
 };
 
-// Application-log retention exchange (mirrors wbcast and ftskeen): members
-// report delivery progress, the leader announces the group-wide delivered
-// floor, and entries at-or-below it drop their payloads (stubs keep the
-// ordering facts only). Wire bodies shared across protocols
-// (multicast/gc_floor.hpp), tagged with this protocol's type values.
-using ::wbam::GcPruneMsg;
-using ::wbam::GcStatusMsg;
-
 // Replicated commands.
 enum class CmdKind : std::uint8_t { propose = 0, commit = 1 };
 
@@ -139,152 +128,43 @@ struct CommitCmd {
     }
 };
 
-class FastCastReplica final : public Process {
+// The entry field fastcast adds to the shared RSM entry: the committed
+// timestamp vector, checked against the CONFIRMed durable timestamps
+// before delivery.
+struct CommitVecExt {
+    LtsVector commit_vec;
+
+    void encode_ext(codec::Writer& w) const { codec::write_field(w, commit_vec); }
+    void decode_ext(codec::Reader& r) { codec::read_field(r, commit_vec); }
+};
+
+// Snapshots: mid-flight, follower delivered flags lag the leader's by one
+// DELIVER_FLOOR; quiesced members produce byte-identical ones.
+class FastCastReplica final : public paxos::RsmReplica<CommitVecExt> {
 public:
     FastCastReplica(const Topology& topo, ProcessId pid, DeliverySink sink,
                     ReplicaConfig cfg = {});
 
-    void on_start(Context& ctx) override;
-    void on_message(Context& ctx, ProcessId from,
-                    const BufferSlice& bytes) override;
-    void on_timer(Context& ctx, TimerId id) override;
-
-    // Handler bodies, wrapped in a BatchingContext when enabled.
-    void dispatch_message(Context& ctx, ProcessId from,
-                          const BufferSlice& bytes);
-    void dispatch_timer(Context& ctx, TimerId id);
-
-    bool is_leader() const { return paxos_.is_leader(); }
-    std::uint64_t clock() const { return clock_; }
-    Timestamp max_delivered_gts() const { return max_delivered_gts_; }
-    // Consensus-log retention introspection for tests and benches.
-    const paxos::MultiPaxos& paxos() const { return paxos_; }
-    // Application-log retention introspection: total entries (stubs
-    // included) and how many were compacted to stubs by the delivered
-    // floor.
-    std::size_t entry_count() const { return entries_.size(); }
-    std::size_t compacted_count() const { return gc_queue_.compacted(); }
-
-    // Deterministic serialization of the replicated state (entries sorted
-    // by message id), as shipped by the paxos catch-up path. Entries the
-    // receiver has already delivered (delivered here, gts at-or-below
-    // `strip_upto`) are OMITTED — the receiver keeps its own record of
-    // them — so both the transfer size and the snapshot's entry count stay
-    // proportional to the receiver's gap, not the run length. An entry
-    // shipped without its payload (possible only when serving below the
-    // compaction floor, which can_serve_snapshot refuses) is explicitly
-    // flagged, never an invisibly empty payload. The no-arg form strips by
-    // this member's own watermark: two quiesced members produce
-    // byte-identical snapshots (mid-flight, follower delivered flags lag
-    // the leader's by one DELIVER_FLOOR).
-    Bytes state_snapshot(Timestamp strip_upto) const;
-    Bytes state_snapshot() const { return state_snapshot(max_delivered_gts_); }
-    // False when this member holds only payload stubs for entries a
-    // requester with watermark `strip_upto` would still have to replay —
-    // serving it would deliver empty payloads. Such a member declines to
-    // serve and the requester falls back to another peer. Since the
-    // delivered floor never passes any member's reported watermark, every
-    // real requester can be served; only a hypothetical blank member
-    // (below every stub) cannot.
-    bool can_serve_snapshot(Timestamp strip_upto) const;
-
 private:
-    enum class Phase : std::uint8_t { start, proposed, committed };
+    void apply(Context& ctx, const paxos::Command& cmd) override;
+    void handle_multicast(Context& ctx, const AppMessage& m) override;
+    void handle_proto(Context& ctx, ProcessId from,
+                      codec::EnvelopeView& env) override;
+    void lead_tick(Context& ctx) override;
+    void clear_leader_state() override;
 
-    struct Entry {
-        AppMessage msg;
-        Phase phase = Phase::start;
-        Timestamp lts;
-        Timestamp gts;
-        LtsVector commit_vec;
-        // True when the payload was dropped: the entry is a stub holding
-        // only the ordering facts. Set by the delivered-floor compaction
-        // (every group member delivered the message) or by installing a
-        // below-floor snapshot; distinguishable from a legitimately empty
-        // payload.
-        bool compacted = false;
-    };
-
-    // One entry of the state snapshot. `delivered` records whether the
-    // snapshotting member had emitted the message; the installer replays
-    // exactly those through its own sink (deduplicated by the delivery
-    // watermark). `stripped` marks entries shipped without their payload.
-    struct StateEntry {
-        AppMessage msg;
-        std::uint8_t phase = 0;
-        Timestamp lts;
-        Timestamp gts;
-        LtsVector commit_vec;
-        bool delivered = false;
-        bool stripped = false;
-
-        void encode(codec::Writer& w) const {
-            codec::write_field(w, msg);
-            codec::write_field(w, phase);
-            codec::write_field(w, lts);
-            codec::write_field(w, gts);
-            codec::write_field(w, commit_vec);
-            codec::write_field(w, delivered);
-            codec::write_field(w, stripped);
-        }
-        static StateEntry decode(codec::Reader& r) {
-            StateEntry e;
-            codec::read_field(r, e.msg);
-            codec::read_field(r, e.phase);
-            codec::read_field(r, e.lts);
-            codec::read_field(r, e.gts);
-            codec::read_field(r, e.commit_vec);
-            codec::read_field(r, e.delivered);
-            codec::read_field(r, e.stripped);
-            return e;
-        }
-    };
-
-    void handle_multicast(Context& ctx, const AppMessage& m);
-    void install_state(Context& ctx, const BufferSlice& state);
     void handle_spec_propose(Context& ctx, ProcessId from, const SpecProposeMsg& m);
     void handle_confirm(Context& ctx, ProcessId from, const ConfirmMsg& m);
-    void handle_deliver_floor(Context& ctx, const DeliverFloorMsg& m);
-    void app_gc_tick(Context& ctx);
-    void run_app_gc(Context& ctx);
-    void handle_gc_status(ProcessId from, const GcStatusMsg& m);
-    void handle_gc_prune(const GcPruneMsg& m);
-    std::size_t compact_upto(Timestamp floor);
-    void rebuild_gc_queue();
     void start_speculation(Context& ctx, const AppMessage& m);
     void maybe_spec_commit(Context& ctx, MsgId id, const AppMessage& msg);
-    void apply(Context& ctx, const paxos::Command& cmd);
     void apply_propose(Context& ctx, const ProposeCmd& cmd);
     void apply_commit(Context& ctx, const CommitCmd& cmd);
     void try_deliver(Context& ctx);
     void deliver_upto(Context& ctx, Timestamp floor);
+    void announce_floor(Context& ctx, Timestamp floor);
     void send_spec_propose(Context& ctx, const AppMessage& m, Timestamp lts,
                            bool broadcast);
     void send_confirm(Context& ctx, const Entry& e, bool broadcast);
-    // Boot-time WAL restore (two passes: watermark, then paxos records).
-    void replay_wal(Context& ctx);
-
-    Topology topo_;
-    ProcessId pid_;
-    GroupId g0_;
-    DeliverySink sink_;
-    ReplicaConfig cfg_;
-    obs::StageRecorder stages_{"fastcast"};
-    paxos::MultiPaxos paxos_;
-    elect::Elector elector_;
-
-    // --- replicated state (mutated only in apply) ---------------------------
-    std::uint64_t clock_ = 0;
-    std::unordered_map<MsgId, Entry> entries_;
-    std::map<Timestamp, MsgId> pending_by_lts_;
-    std::map<Timestamp, MsgId> committed_by_gts_;
-
-    // --- per-replica delivery cursor ----------------------------------------
-    Timestamp max_delivered_gts_;
-
-    // --- application-log retention ------------------------------------------
-    DeliveredFloor delivered_floor_;  // leader-side report fold
-    CompactionQueue gc_queue_;        // delivered here, payload still held
 
     // --- leader-volatile speculation state -----------------------------------
     std::uint64_t spec_clock_ = 0;
@@ -293,9 +173,6 @@ private:
     std::unordered_map<MsgId, std::map<GroupId, Timestamp>> confirmed_;
     std::unordered_map<MsgId, TimePoint> commit_submitted_;
     std::unordered_map<MsgId, TimePoint> last_driven_;
-
-    TimerId tick_timer_ = invalid_timer;
-    TimerId paxos_gc_timer_ = invalid_timer;
 };
 
 }  // namespace wbam::fastcast

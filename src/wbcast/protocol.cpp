@@ -1,9 +1,7 @@
 #include "wbcast/protocol.hpp"
 
 #include "common/assert.hpp"
-#include "common/batching.hpp"
 #include "common/log.hpp"
-#include "wal/log.hpp"
 #include "wal/records.hpp"
 
 namespace wbam::wbcast {
@@ -93,17 +91,16 @@ WbStatusRecord decode_wb_status(const BufferSlice& body) {
 
 WbcastReplica::WbcastReplica(const Topology& topo, ProcessId pid,
                              DeliverySink sink, ReplicaConfig cfg)
-    : topo_(topo), pid_(pid), g0_(topo.group_of(pid)), sink_(std::move(sink)),
-      cfg_(cfg),
-      elector_(topo.members_leader_first(topo.group_of(pid)),
+    : ReplicaCore("wbcast",
+                  GcTags{type_of(MsgType::gc_status), type_of(MsgType::gc_prune)},
+                  topo, pid, std::move(sink), cfg),
+      elector_(topo.members_leader_first(g0_),
                elect::ElectorConfig{cfg.election_enabled,
                                     cfg.heartbeat_interval,
                                     cfg.suspect_timeout},
                [this](Context& ctx, ProcessId trusted) {
                    on_trust_change(ctx, trusted);
-               }),
-      delivered_floor_(topo.members(topo.group_of(pid))) {
-    WBAM_ASSERT_MSG(g0_ != invalid_group, "wbcast replica must be in a group");
+               }) {
     // All members bootstrap agreeing on a ballot led by the initial leader.
     cballot_ = ballot_ = Ballot{1, topo_.initial_leader(g0_)};
     status_ = pid_ == topo_.initial_leader(g0_) ? Status::leader
@@ -117,30 +114,12 @@ void WbcastReplica::on_start(Context& ctx) {
     if (cfg_.wal && !cfg_.wal->recovered().empty()) replay_wal(ctx);
     elector_.start(ctx);
     retry_timer_ = ctx.set_timer(cfg_.retry_interval);
-    if (cfg_.gc_enabled) gc_timer_ = ctx.set_timer(cfg_.gc_interval);
+    arm_gc(ctx);
     // A restarted leader re-announces its undelivered commits; every
     // receiver (including our own self channel) dedups by watermark. A
     // restarted member instead asks the leader to re-establish it.
     if (status_ == Status::leader && cfg_.wal) try_deliver(ctx);
     if (awaiting_resync_) send_sync_req(ctx);
-}
-
-void WbcastReplica::on_message(Context& ctx, ProcessId from,
-                               const BufferSlice& bytes) {
-    if (!cfg_.batching_enabled && cfg_.wal == nullptr) {
-        dispatch_message(ctx, from, bytes);
-        return;
-    }
-    // Same-destination sends made while handling this message (the leader's
-    // ACCEPT/DELIVER fan-out in particular) coalesce into batch frames,
-    // flushed when the decorator goes out of scope at handler exit. The WAL
-    // group-commit rides the same point: records land (and fsync, in group
-    // mode) before any message of this handler leaves, so nothing
-    // externalized is ever lost to a crash.
-    BatchingContext batched(ctx, cfg_.batch_max_bytes);
-    dispatch_message(batched, from, bytes);
-    if (cfg_.wal) cfg_.wal->commit();
-    batched.flush();
 }
 
 void WbcastReplica::dispatch_message(Context& ctx, ProcessId from,
@@ -181,7 +160,8 @@ void WbcastReplica::dispatch_message(Context& ctx, ProcessId from,
             handle_gc_status(from, GcStatusMsg::decode(env.body));
             return;
         case MsgType::gc_prune:
-            handle_gc_prune(GcPruneMsg::decode(env.body));
+            compact_upto(prune_floor(GcPruneMsg::decode(env.body)),
+                         /*require_deliver_sent=*/false);
             return;
         case MsgType::sync_req:
             handle_sync_req(ctx, from, SyncReqMsg::decode(env.body));
@@ -393,17 +373,10 @@ void WbcastReplica::handle_deliver(Context& ctx, const DeliverMsg& d) {
     e.gts = d.gts;
     committed_by_gts_.erase(d.gts);
     clock_ = std::max(clock_, d.gts.time);  // line 29
-    max_delivered_gts_ = d.gts;
-    gc_queue_.push(d.gts, d.msg.id);
-    // Commit fact + delivery watermark, durable before the handler's
-    // group-commit releases any message (and before the app ever acks):
-    // replay re-emits exactly the deliveries above the last watermark.
+    // The commit fact, durable together with the watermark deliver()
+    // appends right after it.
     log_entry(e);
-    if (cfg_.wal)
-        cfg_.wal->append(wal::tag(wal::RecordType::watermark),
-                         wal::encode_watermark(max_delivered_gts_));
-    stages_.record(obs::Stage::delivered, e.msg.submit_ts, ctx.now());
-    sink_(ctx, g0_, e.msg);  // line 31
+    deliver(ctx, d.gts, e.msg);  // line 31
 }
 
 void WbcastReplica::drop_pending(Entry& e) {
@@ -650,14 +623,9 @@ void WbcastReplica::retry_stuck(Context& ctx) {
 }
 
 void WbcastReplica::handle_gc_status(ProcessId from, const GcStatusMsg& m) {
-    delivered_floor_.note(from, m.max_delivered_gts);
+    note_delivered(from, m.max_delivered_gts);
     auto& prog = member_progress_[from];
     if (m.max_delivered_gts > prog.first) prog = {m.max_delivered_gts, 0};
-}
-
-void WbcastReplica::handle_gc_prune(const GcPruneMsg& m) {
-    compact_upto(std::min(m.floor, max_delivered_gts_),
-                 /*require_deliver_sent=*/false);
 }
 
 std::size_t WbcastReplica::compact_upto(Timestamp floor,
@@ -682,22 +650,10 @@ void WbcastReplica::rebuild_gc_queue() {
 }
 
 void WbcastReplica::run_gc(Context& ctx) {
-    delivered_floor_.note(pid_, max_delivered_gts_);
     repair_lagging(ctx);
-    const Timestamp floor = delivered_floor_.floor();
-    if (floor == bottom_ts) return;
-    const std::size_t n = compact_upto(floor, /*require_deliver_sent=*/true);
-    if (n > 0)
-        obs::events().note("gc_prune",
-                           "wbcast: compacted " + std::to_string(n) +
-                               " entries at floor " + to_string(floor),
-                           ctx.now());
-    // Announce every round, not only on change: a member that missed an
-    // earlier announcement (partition, recovery) learns the floor here.
-    const Buffer wire = codec::encode_envelope(proto, type_of(MsgType::gc_prune),
-                                              invalid_msg, GcPruneMsg{floor});
-    for (const ProcessId p : topo_.members(g0_))
-        if (p != pid_) ctx.send(p, wire);
+    lead_gc_round(ctx, [&](Timestamp floor) {
+        return compact_upto(floor, /*require_deliver_sent=*/true);
+    });
 }
 
 void WbcastReplica::repair_lagging(Context& ctx) {
@@ -827,11 +783,7 @@ void WbcastReplica::replay_wal(Context&) {
     wal::Log& log = *cfg_.wal;
     // Pass 1: the delivery watermark, so re-installed commits at-or-below
     // it are recognized as already delivered.
-    log.replay([&](std::uint8_t type, const BufferSlice& body) {
-        if (type != wal::tag(wal::RecordType::watermark)) return;
-        max_delivered_gts_ =
-            std::max(max_delivered_gts_, wal::decode_watermark(body));
-    });
+    restore_watermark();
     // Pass 2: ballots, clock and entries, in log order. Appends are muted
     // while replaying (wal::Log::replay), so re-running the mutations does
     // not re-log them.
@@ -888,17 +840,6 @@ void WbcastReplica::replay_wal(Context&) {
                                         : "recovering");
 }
 
-void WbcastReplica::on_timer(Context& ctx, TimerId id) {
-    if (!cfg_.batching_enabled && cfg_.wal == nullptr) {
-        dispatch_timer(ctx, id);
-        return;
-    }
-    BatchingContext batched(ctx, cfg_.batch_max_bytes);
-    dispatch_timer(batched, id);
-    if (cfg_.wal) cfg_.wal->commit();
-    batched.flush();
-}
-
 void WbcastReplica::dispatch_timer(Context& ctx, TimerId id) {
     if (elector_.handle_timer(ctx, id)) return;
     if (id == retry_timer_) {
@@ -917,8 +858,7 @@ void WbcastReplica::dispatch_timer(Context& ctx, TimerId id) {
         retry_stuck(ctx);
         return;
     }
-    if (id == gc_timer_) {
-        gc_timer_ = ctx.set_timer(cfg_.gc_interval);
+    if (gc_tick(ctx, id)) {
         if (status_ == Status::leader) {
             run_gc(ctx);
         } else if (status_ == Status::follower && cballot_.leader() != pid_ &&
@@ -928,10 +868,7 @@ void WbcastReplica::dispatch_timer(Context& ctx, TimerId id) {
             // keep idle clusters free of GC traffic. A member holding
             // entries reports even at ⊥ — its stalled watermark is what
             // triggers the leader's DELIVER repair after a restart.
-            ctx.send(cballot_.leader(),
-                     codec::encode_envelope(proto, type_of(MsgType::gc_status),
-                                            invalid_msg,
-                                            GcStatusMsg{max_delivered_gts_}));
+            report_delivered(ctx, cballot_.leader());
         }
         return;
     }

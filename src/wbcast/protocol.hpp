@@ -27,8 +27,7 @@
 #include <unordered_map>
 
 #include "elect/elector.hpp"
-#include "multicast/api.hpp"
-#include "obs/stage.hpp"
+#include "multicast/replica_core.hpp"
 #include "wbcast/messages.hpp"
 
 namespace wbam::wbcast {
@@ -36,25 +35,20 @@ namespace wbam::wbcast {
 enum class Status : std::uint8_t { leader, follower, recovering };
 enum class Phase : std::uint8_t { start, proposed, accepted, committed };
 
-class WbcastReplica final : public Process {
+class WbcastReplica final : public ReplicaCore {
 public:
     WbcastReplica(const Topology& topo, ProcessId pid, DeliverySink sink,
                   ReplicaConfig cfg = {});
 
     void on_start(Context& ctx) override;
-    void on_message(Context& ctx, ProcessId from,
-                    const BufferSlice& bytes) override;
-    void on_timer(Context& ctx, TimerId id) override;
 
     // --- introspection for tests and benches -------------------------------
     Status status() const { return status_; }
     Ballot cballot() const { return cballot_; }
     Ballot ballot() const { return ballot_; }
     std::uint64_t clock() const { return clock_; }
-    Timestamp max_delivered_gts() const { return max_delivered_gts_; }
     std::size_t entry_count() const { return entries_.size(); }
     std::size_t pending_count() const { return pending_by_lts_.size(); }
-    std::size_t compacted_count() const { return gc_queue_.compacted(); }
     GroupId group() const { return g0_; }
 
 private:
@@ -81,10 +75,9 @@ private:
         bool state_sent = false;
     };
 
-    // -- handler bodies (wrapped in a BatchingContext when enabled)
     void dispatch_message(Context& ctx, ProcessId from,
-                          const BufferSlice& bytes);
-    void dispatch_timer(Context& ctx, TimerId id);
+                          const BufferSlice& bytes) override;
+    void dispatch_timer(Context& ctx, TimerId id) override;
 
     // -- normal operation
     void handle_multicast(Context& ctx, const AppMessage& m);
@@ -111,7 +104,6 @@ private:
     // -- message recovery & garbage collection
     void retry_stuck(Context& ctx);
     void handle_gc_status(ProcessId from, const GcStatusMsg& m);
-    void handle_gc_prune(const GcPruneMsg& m);
     void run_gc(Context& ctx);
     std::size_t compact_upto(Timestamp floor, bool require_deliver_sent);
     void rebuild_gc_queue();
@@ -130,19 +122,12 @@ private:
     ProcessId leader_guess(GroupId g) const;
     void drop_pending(Entry& e);
 
-    Topology topo_;
-    ProcessId pid_;
-    GroupId g0_;
-    DeliverySink sink_;
-    ReplicaConfig cfg_;
-    obs::StageRecorder stages_{"wbcast"};
     elect::Elector elector_;
 
     Status status_ = Status::follower;
     Ballot cballot_;
     Ballot ballot_;
     std::uint64_t clock_ = 0;
-    Timestamp max_delivered_gts_;
 
     std::unordered_map<MsgId, Entry> entries_;
     // PROPOSED/ACCEPTED messages by local timestamp: the head blocks
@@ -160,18 +145,13 @@ private:
     TimePoint last_sync_req_ = 0;
     int sync_attempts_ = 0;
 
-    // GC: leader-side view of each member's delivery progress, and the
-    // delivered entries still holding their payloads.
-    DeliveredFloor delivered_floor_;
-    CompactionQueue gc_queue_;
-    // Last reported watermark per member and how many GC rounds it has
-    // stalled below ours — a stall means lost DELIVERs (crash-recovery
-    // restart), repaired by re-sending them in gts order.
+    // GC: the last watermark each member reported and how many GC rounds
+    // it has stalled below ours — a stall means lost DELIVERs
+    // (crash-recovery restart), repaired by re-sending them in gts order.
     std::map<ProcessId, std::pair<Timestamp, int>> member_progress_;
 
     std::unordered_map<GroupId, ProcessId> remote_leader_hint_;
     TimerId retry_timer_ = invalid_timer;
-    TimerId gc_timer_ = invalid_timer;
 };
 
 }  // namespace wbam::wbcast
