@@ -1051,7 +1051,6 @@ void BM_GcRound(benchmark::State& state, harness::ProtocolKind kind) {
     cfg.replica.election_enabled = false;
     cfg.replica.retry_interval = tick;
     cfg.replica.gc_interval = tick;
-    cfg.replica.paxos_gc_interval = tick;
     harness::Cluster c(std::move(cfg));
     const ProcessId leader = c.topo().initial_leader(0);
     for (std::size_t i = 0; i < retained; ++i)

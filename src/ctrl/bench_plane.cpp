@@ -211,8 +211,8 @@ void BenchDriver::on_message(Context& ctx, ProcessId, const BufferSlice& bytes) 
             pending_.erase(it);
             // Closed loop: this session immediately issues its next op
             // (even past window close — sustained load keeps the other
-            // drivers' measurements honest until SHUTDOWN).
-            if (!stopped_) issue(ctx);
+            // drivers' measurements honest until every window is closed).
+            if (!stopped_ && !load_stopped_) issue(ctx);
         }
     } catch (const codec::DecodeError&) {
     }
@@ -233,6 +233,9 @@ void BenchDriver::handle_ctrl(Context& ctx, const codec::EnvelopeView& env) {
             begin(ctx, StartMsg::decode(body));
             return;
         }
+        case CtrlMsgType::stop_load:
+            load_stopped_ = true;
+            return;
         case CtrlMsgType::shutdown:
             stopped_ = true;
             if (sample_timer_ != invalid_timer) ctx.cancel_timer(sample_timer_);
@@ -432,6 +435,12 @@ void Coordinator::handle_ctrl(Context& ctx, ProcessId from,
                 static_cast<int>(driver_done_.size()) == drivers_) {
                 phase_ = Phase::quiescing;
                 quiesce_until_ = ctx.now() + cfg_.quiesce;
+                // Every window is closed: stop the load, so the replicas
+                // converge on one final sequence per group instead of
+                // answering REPORT a few deliveries apart.
+                const Buffer stop = encode_ctrl(CtrlMsgType::stop_load);
+                for (int d = 0; d < drivers_; ++d)
+                    ctx.send(topo_.client(d), stop);
             }
             return;
         }

@@ -157,7 +157,8 @@ private:
     BenchSpec spec_;
     bool have_spec_ = false;
     bool started_ = false;
-    bool stopped_ = false;
+    bool stopped_ = false;     // SHUTDOWN: nothing more at all
+    bool load_stopped_ = false;  // STOP_LOAD: no new ops, retries go on
     bool done_sent_ = false;
     TimePoint window_open_ = 0;
     TimePoint window_close_ = 0;

@@ -14,6 +14,10 @@
 //                                 else each driver opens it on receipt)
 //   driver -> coord  SAMPLE       streamed batches of raw latency samples
 //   driver -> coord  DRIVER_DONE  local window closed + final counters
+//   coord -> driver  STOP_LOAD    sent once every driver is done: issue
+//                                 no new ops, keep resending the ones in
+//                                 flight, so each group's tail drains
+//                                 before the digests are compared
 //   coord -> replica REPORT       request the delivery-sequence digest
 //   replica -> coord REPLICA_DONE delivered count + order digest (the
 //                                 coordinator's per-group agreement check)
@@ -54,6 +58,7 @@ enum class CtrlMsgType : std::uint8_t {
     report = 6,
     replica_done = 7,
     shutdown = 8,
+    stop_load = 9,
 };
 
 // What the drivers generate: opaque byte payloads multicast to random

@@ -292,6 +292,12 @@ void FastCastReplica::deliver_upto(Context& ctx, Timestamp floor) {
     while (!committed_by_gts_.empty()) {
         const auto [gts, id] = *committed_by_gts_.begin();
         if (gts > floor) break;
+        // The leader's floor covers its own applied log. A follower with a
+        // gap in its log (messages lost to a restart) may still miss the
+        // commit of a message below `gts` whose proposal it holds: wait
+        // for it, as the leader did, or it would be skipped for good.
+        if (!pending_by_lts_.empty() && pending_by_lts_.begin()->first <= gts)
+            break;
         committed_by_gts_.erase(committed_by_gts_.begin());
         deliver(ctx, gts, entries_.at(id).msg);
     }
@@ -340,16 +346,6 @@ void FastCastReplica::lead_tick(Context& ctx) {
         reconfirmed = true;
     }
     if (reconfirmed) try_deliver(ctx);
-    // Tentative messages whose Propose never applied (lost leadership mid
-    // flight): resubmit.
-    for (auto& [mid, lts] : tentative_) {
-        auto& at = last_driven_[mid];
-        if (ctx.now() - at < cfg_.retry_interval) continue;
-        at = ctx.now();
-        // The message content lives in spec_lts_ only if we originated it;
-        // rebuild from scratch on the next client retry otherwise.
-        (void)lts;
-    }
     // Periodically re-announce the delivery floor so lagging followers
     // catch up even during quiet periods.
     if (max_delivered_gts_ > bottom_ts) announce_floor(ctx, max_delivered_gts_);

@@ -134,12 +134,16 @@ struct CommitCmd {
 struct CommitVecExt {
     LtsVector commit_vec;
 
-    void encode_ext(codec::Writer& w) const { codec::write_field(w, commit_vec); }
+    void encode_ext(codec::Writer& w) const {
+        codec::write_field(w, commit_vec);
+    }
     void decode_ext(codec::Reader& r) { codec::read_field(r, commit_vec); }
 };
 
-// Snapshots: mid-flight, follower delivered flags lag the leader's by one
-// DELIVER_FLOOR; quiesced members produce byte-identical ones.
+// The ordering logic on the shared RSM scaffold (paxos/rsm_replica.hpp).
+// Followers deliver on DELIVER_FLOOR, so mid-flight their snapshots'
+// delivered flags lag the leader's by one floor; quiesced members still
+// produce byte-identical snapshots.
 class FastCastReplica final : public paxos::RsmReplica<CommitVecExt> {
 public:
     FastCastReplica(const Topology& topo, ProcessId pid, DeliverySink sink,
@@ -153,7 +157,8 @@ private:
     void lead_tick(Context& ctx) override;
     void clear_leader_state() override;
 
-    void handle_spec_propose(Context& ctx, ProcessId from, const SpecProposeMsg& m);
+    void handle_spec_propose(Context& ctx, ProcessId from,
+                             const SpecProposeMsg& m);
     void handle_confirm(Context& ctx, ProcessId from, const ConfirmMsg& m);
     void start_speculation(Context& ctx, const AppMessage& m);
     void maybe_spec_commit(Context& ctx, MsgId id, const AppMessage& msg);

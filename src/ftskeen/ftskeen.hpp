@@ -80,6 +80,7 @@ struct CommitCmd {
     }
 };
 
+// The ordering logic on the shared RSM scaffold (paxos/rsm_replica.hpp).
 class FtSkeenReplica final : public paxos::RsmReplica<paxos::NoEntryExt> {
 public:
     FtSkeenReplica(const Topology& topo, ProcessId pid, DeliverySink sink,

@@ -72,16 +72,15 @@ struct ReplicaConfig {
     bool election_enabled = true;
     Duration heartbeat_interval = milliseconds(20);
     Duration suspect_timeout = milliseconds(150);
-    // Garbage collection of delivered messages (wbcast only).
+    // Garbage collection, one timer per replica (multicast/replica_core.hpp).
+    // Every gc_interval members report their delivery watermark to the
+    // leader, which compacts delivered entries to stubs below the
+    // group-wide delivered floor and announces it. In the black-box rows
+    // (ftskeen, fastcast) the same tick also drives the MultiPaxos
+    // chosen-log prune below the group-wide applied floor; a member that
+    // fell behind it catches up via state snapshot.
     bool gc_enabled = true;
     Duration gc_interval = milliseconds(250);
-    // Consensus-log retention in the black-box baselines (ftskeen and
-    // fastcast): members exchange applied progress, the group prunes the
-    // Paxos chosen log below the group-wide applied floor, and members
-    // that fell behind the floor catch up via state snapshot. Mirrors the
-    // wbcast GC knobs above.
-    bool paxos_gc_enabled = true;
-    Duration paxos_gc_interval = milliseconds(250);
     // Leader-side send batching (BatchingContext): coalesce same-destination
     // sends made within one handler into a single batch frame, flushed at
     // handler exit. Off by default; adopted by the wbcast ACCEPT/DELIVER

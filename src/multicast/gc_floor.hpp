@@ -103,9 +103,9 @@ enum class GcStep : std::uint8_t {
 // also summarises the stubs themselves: how many, and the highest gts
 // among them (what a catch-up server needs to know it can serve).
 //
-// Rows push at their local delivery point and rebuild() once after any
-// event that replaces the entry table wholesale (leader recompute, state
-// install, WAL replay).
+// Rows push at their delivery point (ReplicaCore::deliver) and rebuild()
+// once after any event that replaces the entry table wholesale (wbcast's
+// leader recompute, NEW_STATE install and WAL replay).
 class CompactionQueue {
 public:
     // A delivery here. In-order pushes append; an out-of-order one (never

@@ -10,13 +10,13 @@ ReplicaCore::ReplicaCore(const char* row, GcTags gc, const Topology& topo,
                          const ReplicaConfig& cfg)
     : row_(row), topo_(topo), pid_(pid), g0_(topo.group_of(pid)),
       sink_(std::move(sink)), cfg_(cfg), stages_(row), gc_tags_(gc),
-      delivered_floor_(topo.members(topo.group_of(pid))) {
+      delivered_floor_(topo.members(g0_)) {
     WBAM_ASSERT_MSG(g0_ != invalid_group, "a replica must be in a group");
 }
 
-bool ReplicaCore::deliver(Context& ctx, Timestamp gts, const AppMessage& m) {
+void ReplicaCore::deliver(Context& ctx, Timestamp gts, const AppMessage& m) {
     gc_queue_.push(gts, m.id);
-    if (gts <= max_delivered_gts_) return false;
+    if (gts <= max_delivered_gts_) return;
     max_delivered_gts_ = gts;
     // Durable before the handler's group-commit releases any message (and
     // before the app ever acks): replay re-emits exactly the deliveries
@@ -26,7 +26,6 @@ bool ReplicaCore::deliver(Context& ctx, Timestamp gts, const AppMessage& m) {
                          wal::encode_watermark(max_delivered_gts_));
     stages_.record(obs::Stage::delivered, m.submit_ts, ctx.now());
     sink_(ctx, g0_, m);
-    return true;
 }
 
 void ReplicaCore::restore_watermark() {

@@ -63,8 +63,8 @@ protected:
     // re-announcement), advances the watermark, makes it durable, records
     // the `delivered` stage and hands m to the sink. Deliveries happen in
     // strictly increasing gts order at each member, so the watermark is
-    // also the dedupe. Returns whether m was delivered now.
-    bool deliver(Context& ctx, Timestamp gts, const AppMessage& m);
+    // also the dedupe.
+    void deliver(Context& ctx, Timestamp gts, const AppMessage& m);
 
     // WAL pass 1: the highest durable watermark.
     void restore_watermark();
@@ -76,10 +76,6 @@ protected:
     bool gc_tick(Context& ctx, TimerId id);
     // Member side: reports the watermark to `leader` (not to ourselves).
     void report_delivered(Context& ctx, ProcessId leader) const;
-    // Leader side: folds a member's report.
-    void note_delivered(ProcessId member, Timestamp delivered) {
-        delivered_floor_.note(member, delivered);
-    }
     // Leader round: folds our own watermark, compacts up to the floor
     // (`compact_upto(floor)` returns how many entries it compacted) and
     // announces the floor — every round, not only on change, so a member
@@ -106,7 +102,8 @@ protected:
     obs::StageRecorder stages_;
     GcTags gc_tags_;
     Timestamp max_delivered_gts_;
-    CompactionQueue gc_queue_;  // delivered here, payload still held
+    DeliveredFloor delivered_floor_;  // leader side: members' reports
+    CompactionQueue gc_queue_;        // delivered here, payload still held
 
 private:
     template <class Body>
@@ -123,7 +120,6 @@ private:
 
     void finish_gc_round(Context& ctx, Timestamp floor, std::size_t compacted);
 
-    DeliveredFloor delivered_floor_;  // leader-side report fold
     TimerId gc_timer_ = invalid_timer;
 };
 

@@ -20,6 +20,7 @@
 #ifndef WBAM_PAXOS_RSM_REPLICA_HPP
 #define WBAM_PAXOS_RSM_REPLICA_HPP
 
+#include <algorithm>
 #include <map>
 #include <unordered_map>
 
@@ -27,7 +28,6 @@
 #include "elect/elector.hpp"
 #include "multicast/replica_core.hpp"
 #include "paxos/multipaxos.hpp"
-#include "paxos/snapshot.hpp"
 #include "wal/mute_context.hpp"
 #include "wal/records.hpp"
 
@@ -97,13 +97,13 @@ protected:
     RsmReplica(const char* row, GcTags gc, const Topology& topo,
                ProcessId pid, DeliverySink sink, const ReplicaConfig& cfg);
 
-    // --- the row's ordering logic ---------------------------------------------
+    // --- the row's ordering logic -------------------------------------------
     // Applies one chosen command (every member, in slot order).
     virtual void apply(Context& ctx, const Command& cmd) = 0;
     // A MULTICAST addressed to this group, at the leader.
     virtual void handle_multicast(Context& ctx, const AppMessage& m) = 0;
-    // The row's own Module::proto messages (the GC exchange is handled
-    // here).
+    // The row's own Module::proto messages (the scaffold takes the GC
+    // exchange's two types first).
     virtual void handle_proto(Context& ctx, ProcessId from,
                               codec::EnvelopeView& env) = 0;
     // The leader's share of the retry tick: re-drive what may have been
@@ -134,32 +134,26 @@ private:
     void replay_wal(Context& ctx);
     void gc_round(Context& ctx);
     std::size_t compact_upto(Timestamp floor);
-    void rebuild_gc_queue();
     void install_state(Context& ctx, const BufferSlice& state);
 
     TimerId tick_timer_ = invalid_timer;
 };
 
-// --- implementation ------------------------------------------------------------
+// --- implementation ----------------------------------------------------------
 
 template <class Ext>
 RsmReplica<Ext>::RsmReplica(const char* row, GcTags gc, const Topology& topo,
                             ProcessId pid, DeliverySink sink,
                             const ReplicaConfig& cfg)
-    : ReplicaCore(row, gc, topo, pid, std::move(sink), [&] {
-          ReplicaConfig c = cfg;
-          c.gc_enabled = cfg.paxos_gc_enabled;
-          c.gc_interval = cfg.paxos_gc_interval;
-          return c;
-      }()),
+    : ReplicaCore(row, gc, topo, pid, std::move(sink), cfg),
       paxos_(topo.members_leader_first(g0_), topo.quorum_size(),
              [this](Context& ctx, std::uint64_t, const Command& cmd) {
                  apply(ctx, cmd);
              },
              PaxosConfig{.retry_interval = cfg.retry_interval,
                          .cmd_cost = cfg.consensus_cmd_cost,
-                         .gc_enabled = cfg.paxos_gc_enabled,
-                         .gc_interval = cfg.paxos_gc_interval,
+                         .gc_enabled = cfg.gc_enabled,
+                         .gc_interval = cfg.gc_interval,
                          .wal = cfg.wal}),
       elector_(topo.members_leader_first(g0_),
                elect::ElectorConfig{cfg.election_enabled,
@@ -168,9 +162,15 @@ RsmReplica<Ext>::RsmReplica(const char* row, GcTags gc, const Topology& topo,
                [this](Context& ctx, ProcessId trusted) {
                    if (trusted == ctx.self()) paxos_.maybe_lead(ctx);
                }) {
+    // The catch-up mark (CatchupRequestMsg::mark) is the requester's
+    // delivery watermark; an empty one means it holds nothing.
     paxos_.set_state_handlers(
         [this](const BufferSlice& mark) -> Bytes {
-            const Timestamp strip = decode_catchup_mark(mark);
+            Timestamp strip = bottom_ts;
+            if (!mark.empty()) {
+                codec::Reader r(mark);
+                codec::read_field(r, strip);
+            }
             // Empty = cannot serve: the requester would have to replay
             // entries we hold only as payload stubs. It retries against
             // another peer (MultiPaxos skips the reply).
@@ -178,7 +178,11 @@ RsmReplica<Ext>::RsmReplica(const char* row, GcTags gc, const Topology& topo,
             return state_snapshot(strip);
         },
         [this](Context& ctx, const BufferSlice& s) { install_state(ctx, s); },
-        [this] { return encode_catchup_mark(max_delivered_gts_); });
+        [this] {
+            codec::Writer w;
+            codec::write_field(w, max_delivered_gts_);
+            return std::move(w).take();
+        });
 }
 
 template <class Ext>
@@ -263,7 +267,8 @@ void RsmReplica<Ext>::dispatch_message(Context& ctx, ProcessId from,
     if (env.type == gc_tags_.status) {
         const auto m = ::wbam::GcStatusMsg::decode(env.body);
         // A report reaching a non-leader is stale: the reporter re-aims.
-        if (paxos_.is_leader()) note_delivered(from, m.max_delivered_gts);
+        if (paxos_.is_leader())
+            delivered_floor_.note(from, m.max_delivered_gts);
         return;
     }
     if (env.type == gc_tags_.prune) {
@@ -293,12 +298,13 @@ void RsmReplica<Ext>::dispatch_timer(Context& ctx, TimerId id) {
     if (paxos_.is_leader()) lead_tick(ctx);
 }
 
-// --- application-log retention (the delivered floor) --------------------------
+// --- application-log retention (the delivered floor) -------------------------
 
 template <class Ext>
 void RsmReplica<Ext>::gc_round(Context& ctx) {
     if (paxos_.is_leader()) {
-        lead_gc_round(ctx, [&](Timestamp floor) { return compact_upto(floor); });
+        lead_gc_round(ctx,
+                      [&](Timestamp floor) { return compact_upto(floor); });
         return;
     }
     // Idle members stay silent: nothing delivered means nothing to prune.
@@ -320,41 +326,43 @@ std::size_t RsmReplica<Ext>::compact_upto(Timestamp floor) {
     });
 }
 
-template <class Ext>
-void RsmReplica<Ext>::rebuild_gc_queue() {
-    gc_queue_.rebuild(entries_,
-                      [&](const Entry& e) { return delivered_here(e); });
-}
-
-// --- catch-up: state transfer ---------------------------------------------------
+// --- catch-up: state transfer ------------------------------------------------
 
 template <class Ext>
 Bytes RsmReplica<Ext>::state_snapshot(Timestamp strip_upto) const {
+    // The clock, then the shipped entries in ascending message-id order:
+    // unordered_map iteration order must not leak into the bytes.
+    std::vector<MsgId> ids;
+    ids.reserve(entries_.size());
+    for (const auto& [id, e] : entries_)
+        if (!(delivered_here(e) && e.gts <= strip_upto)) ids.push_back(id);
+    std::sort(ids.begin(), ids.end());
+    codec::Writer w;
+    codec::write_field(w, clock_);
+    w.varint(ids.size());
     // Per entry: msg, phase, lts, gts, the row's fields, then whether this
     // member had delivered it (the installer replays exactly those through
     // its own sink) and whether it ships as a stub.
-    return encode_rsm_snapshot(
-        clock_, entries_,
-        [&](const Entry& e) {
-            return !(delivered_here(e) && e.gts <= strip_upto);
-        },
-        [&](codec::Writer& w, const Entry& e) {
-            codec::write_field(w, e.msg);
-            codec::write_field(w, static_cast<std::uint8_t>(e.phase));
-            codec::write_field(w, e.lts);
-            codec::write_field(w, e.gts);
-            e.encode_ext(w);
-            codec::write_field(w, delivered_here(e));
-            codec::write_field(w, e.compacted);
-        });
+    for (const MsgId id : ids) {
+        const Entry& e = entries_.at(id);
+        codec::write_field(w, e.msg);
+        codec::write_field(w, static_cast<std::uint8_t>(e.phase));
+        codec::write_field(w, e.lts);
+        codec::write_field(w, e.gts);
+        e.encode_ext(w);
+        codec::write_field(w, delivered_here(e));
+        codec::write_field(w, e.compacted);
+    }
+    return std::move(w).take();
 }
 
 template <class Ext>
 void RsmReplica<Ext>::install_state(Context& ctx, const BufferSlice& state) {
     // Keep the delivered past: the snapshot omits everything we reported
     // as delivered, so our own entries (full payloads or floor stubs) stay
-    // the record of it. Every undelivered entry is replaced by the
-    // responder's authoritative view.
+    // the record of it, and the compaction queue stays valid as it is.
+    // Every undelivered entry is replaced by the responder's authoritative
+    // view.
     for (auto it = entries_.begin(); it != entries_.end();) {
         if (delivered_here(it->second)) {
             ++it;
@@ -369,36 +377,39 @@ void RsmReplica<Ext>::install_state(Context& ctx, const BufferSlice& state) {
     // below in gts order, so this member's delivery sequence stays the
     // group's sequence (the watermark skips what we delivered pre-gap).
     std::map<Timestamp, MsgId> replay;
-    const std::size_t n =
-        decode_rsm_snapshot(state, clock_, [&](codec::Reader& r) {
-            Entry se;
-            std::uint8_t phase = 0;
-            bool delivered = false;
-            codec::read_field(r, se.msg);
-            codec::read_field(r, phase);
-            codec::read_field(r, se.lts);
-            codec::read_field(r, se.gts);
-            se.decode_ext(r);
-            codec::read_field(r, delivered);
-            codec::read_field(r, se.compacted);
-            const MsgId id = se.msg.id;
-            if (entries_.count(id)) return;  // our delivered past wins
-            se.phase = static_cast<Phase>(phase);
-            // entries_ is long-lived: detach from the snapshot wire image.
-            se.msg.payload = se.msg.payload.compact();
-            const Entry& e = entries_.emplace(id, std::move(se)).first->second;
-            if (e.phase == Phase::proposed) {
-                pending_by_lts_.emplace(e.lts, id);
-            } else if (e.phase == Phase::committed) {
-                if (!delivered) {
-                    committed_by_gts_.emplace(e.gts, id);
-                } else if (!e.compacted) {
-                    replay.emplace(e.gts, id);
-                }
+    codec::Reader r(state);
+    codec::read_field(r, clock_);
+    const std::size_t n = r.length();
+    for (std::size_t i = 0; i < n; ++i) {
+        Entry se;
+        std::uint8_t phase = 0;
+        bool delivered = false;
+        codec::read_field(r, se.msg);
+        codec::read_field(r, phase);
+        codec::read_field(r, se.lts);
+        codec::read_field(r, se.gts);
+        se.decode_ext(r);
+        codec::read_field(r, delivered);
+        codec::read_field(r, se.compacted);
+        const MsgId id = se.msg.id;
+        if (entries_.count(id)) continue;  // our delivered past wins
+        se.phase = static_cast<Phase>(phase);
+        // entries_ is long-lived: detach from the snapshot wire image.
+        se.msg.payload = se.msg.payload.compact();
+        const Entry& e = entries_.emplace(id, std::move(se)).first->second;
+        if (e.phase == Phase::proposed) {
+            pending_by_lts_.emplace(e.lts, id);
+        } else if (e.phase == Phase::committed) {
+            if (!delivered) {
+                committed_by_gts_.emplace(e.gts, id);
+            } else if (!e.compacted) {
+                replay.emplace(e.gts, id);
             }
-        });
+        }
+    }
+    r.expect_done();
+    // deliver() queues each replayed delivery for compaction.
     for (const auto& [gts, id] : replay) deliver(ctx, gts, entries_.at(id).msg);
-    rebuild_gc_queue();
     log::info(row_, " p", pid_, " installed state snapshot (", n, " entries)");
 }
 

@@ -92,7 +92,8 @@ WbStatusRecord decode_wb_status(const BufferSlice& body) {
 WbcastReplica::WbcastReplica(const Topology& topo, ProcessId pid,
                              DeliverySink sink, ReplicaConfig cfg)
     : ReplicaCore("wbcast",
-                  GcTags{type_of(MsgType::gc_status), type_of(MsgType::gc_prune)},
+                  GcTags{type_of(MsgType::gc_status),
+                         type_of(MsgType::gc_prune)},
                   topo, pid, std::move(sink), cfg),
       elector_(topo.members_leader_first(g0_),
                elect::ElectorConfig{cfg.election_enabled,
@@ -623,7 +624,7 @@ void WbcastReplica::retry_stuck(Context& ctx) {
 }
 
 void WbcastReplica::handle_gc_status(ProcessId from, const GcStatusMsg& m) {
-    note_delivered(from, m.max_delivered_gts);
+    delivered_floor_.note(from, m.max_delivered_gts);
     auto& prog = member_progress_[from];
     if (m.max_delivered_gts > prog.first) prog = {m.max_delivered_gts, 0};
 }

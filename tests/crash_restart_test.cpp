@@ -40,6 +40,9 @@ struct WalSet {
         static int counter = 0;
         dir = testing::TempDir() + "crash_restart_" + tag + "_" +
               std::to_string(++counter);
+        // A run that died before its destructor (a crash) leaves WAL files
+        // here; a fresh replica must never replay them as its own.
+        std::filesystem::remove_all(dir);
         std::filesystem::create_directories(dir);
         for (int p = 0; p < num_replicas; ++p)
             logs.push_back(std::make_unique<wal::Log>(path(p), mode));
@@ -81,7 +84,6 @@ ClusterConfig durable_config(WalSet& wals, ProtocolKind kind,
     cfg.replica.suspect_timeout = milliseconds(20);
     cfg.replica.retry_interval = milliseconds(25);
     cfg.replica.gc_interval = milliseconds(50);
-    cfg.replica.paxos_gc_interval = milliseconds(50);
     cfg.client_retry = milliseconds(50);
     cfg.trace_sends = true;
     cfg.tune_replica = [&wals](ProcessId p, ReplicaConfig& rc) {
@@ -233,7 +235,6 @@ TEST_P(StateReplayTest, RestartedReplicaStateIsByteIdentical) {
     WalSet wals(6, "snap", wal::SyncMode::group_commit);
     ClusterConfig cfg = durable_config(wals, GetParam(), 3);
     cfg.replica.gc_enabled = false;
-    cfg.replica.paxos_gc_enabled = false;
     Cluster c(cfg);
     const ProcessId victim = c.topo().member(0, 2);
 

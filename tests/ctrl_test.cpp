@@ -1,9 +1,10 @@
 // The distributed benchmark plane (src/ctrl/): control-message codec
 // round-trips and malformed-input rejection, the LatencySampler's
 // window/drain semantics, and the full coordinator exchange — READY →
-// RUN_SPEC → START → SAMPLE/DONE → REPORT → SHUTDOWN — run end-to-end
-// over real loopback TCP with one NetWorld per process, exactly the
-// in-process twin of a wbamd --bench + wbamctl run deployment.
+// RUN_SPEC → START → SAMPLE/DONE → STOP_LOAD → REPORT → SHUTDOWN — run
+// end-to-end over real loopback TCP with one NetWorld per process, exactly
+// the in-process twin of a wbamd --bench + wbamctl run deployment, and on
+// the simulator.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +14,7 @@
 #include "client/latency_sampler.hpp"
 #include "ctrl/bench_plane.hpp"
 #include "harness/live_cluster.hpp"
+#include "sim/world.hpp"
 
 namespace wbam {
 namespace {
@@ -336,6 +338,65 @@ TEST(CtrlPlaneTest, RelativeWindowsWorkWithoutSharedEpoch) {
     ASSERT_TRUE(fx.coordinator->succeeded()) << fx.coordinator->error();
     EXPECT_GT(fx.coordinator->result_point().ops, 0u);
 }
+
+// --- the same exchange on the simulator --------------------------------------
+
+// The coordinator compares each group's (count, digest) once the quiesce
+// ends. Drivers run closed loops past their own windows; were they to
+// keep issuing until SHUTDOWN, replicas would answer REPORT a few
+// deliveries apart (a follower trails its leader by a hop) and a run
+// would live on re-polls. STOP_LOAD at the last DRIVER_DONE lets the tail
+// drain during the quiesce, so the first REPORT must already agree, on
+// every row, under sustained closed-loop load.
+class CtrlPlaneSimTest
+    : public ::testing::TestWithParam<harness::ProtocolKind> {};
+
+TEST_P(CtrlPlaneSimTest, FirstReportAgreesUnderSustainedLoad) {
+    const Topology topo{2, 3, 3};
+    sim::World world(topo, std::make_unique<sim::JitterDelay>(
+                               microseconds(100), microseconds(50)),
+                     17);
+    const ProcessId coord_pid = topo.client(topo.num_clients() - 1);
+    std::vector<std::atomic<bool>> flags(
+        static_cast<std::size_t>(topo.num_processes()));
+    ctrl::CoordinatorConfig ccfg = quick_config();
+    ccfg.spec.proto = GetParam();
+    ccfg.spec.sessions = 4;
+    ccfg.spec.heartbeat_interval = milliseconds(20);
+    ccfg.report_attempts = 1;
+    ctrl::Coordinator* coordinator = nullptr;
+    for (ProcessId p = 0; p < topo.num_processes(); ++p) {
+        std::atomic<bool>* flag = &flags[static_cast<std::size_t>(p)];
+        if (topo.is_replica(p)) {
+            world.add_process(p, std::make_unique<ctrl::NodeShim>(
+                                     topo, p, coord_pid, flag));
+        } else if (p == coord_pid) {
+            auto c = std::make_unique<ctrl::Coordinator>(topo, ccfg);
+            coordinator = c.get();
+            world.add_process(p, std::move(c));
+        } else {
+            world.add_process(p, std::make_unique<ctrl::BenchDriver>(
+                                     topo, coord_pid, flag));
+        }
+    }
+    world.start();
+    while (!coordinator->finished() && world.now() < seconds(20))
+        world.run_for(milliseconds(10));
+    ASSERT_TRUE(coordinator->finished()) << "coordinator stuck";
+    EXPECT_TRUE(coordinator->succeeded()) << coordinator->error();
+    EXPECT_GT(coordinator->result_point().ops, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllRows, CtrlPlaneSimTest,
+    ::testing::Values(harness::ProtocolKind::wbcast,
+                      harness::ProtocolKind::ftskeen,
+                      harness::ProtocolKind::fastcast),
+    [](const auto& info) {
+        std::string name = harness::to_string(info.param);
+        std::erase(name, '-');  // "FT-Skeen" is not a test name
+        return name;
+    });
 
 }  // namespace
 }  // namespace wbam

@@ -178,7 +178,6 @@ ClusterConfig index_config(ProtocolKind kind, std::uint64_t seed) {
     cfg.replica.suspect_timeout = milliseconds(20);
     cfg.replica.retry_interval = milliseconds(25);
     cfg.replica.gc_interval = milliseconds(50);
-    cfg.replica.paxos_gc_interval = milliseconds(50);
     cfg.client_retry = milliseconds(50);
     cfg.trace_sends = true;
     return cfg;

@@ -41,7 +41,6 @@ ClusterConfig retention_config(ProtocolKind kind, int groups, int clients,
     cfg.replica.suspect_timeout = milliseconds(20);
     cfg.replica.retry_interval = milliseconds(25);
     cfg.replica.gc_interval = gc_every;
-    cfg.replica.paxos_gc_interval = gc_every;
     cfg.client_retry = milliseconds(50);
     cfg.trace_sends = true;
     return cfg;
