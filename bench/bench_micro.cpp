@@ -32,6 +32,7 @@
 #include "common/rng.hpp"
 #include "common/topology.hpp"
 #include "multicast/message.hpp"
+#include "multicast/replica_core.hpp"
 #include "net/frame.hpp"
 #include "net/stats.hpp"
 #include "obs/metrics.hpp"
@@ -615,6 +616,13 @@ DurabilityPoint measure_durability(wal::SyncMode mode, int batch,
 // would make the cost flat in the frame size.
 std::map<std::size_t, double> g_net_read_ns;  // frame bytes -> ns per frame
 
+// BM_GcStall: row -> per-round deliveries -> longest GC handler call.
+struct GcCallStats {
+    double max_us = 0;
+    std::size_t max_entries = 0;
+};
+std::map<std::string, std::map<std::int64_t, GcCallStats>> g_gc_stall;
+
 void BM_NetReadPath(benchmark::State& state) {
     const auto frame_bytes = static_cast<std::size_t>(state.range(0));
     int fds[2];
@@ -867,7 +875,29 @@ void write_bench_json() {
                      first_frame ? "" : ",", bytes, ns);
         first_frame = false;
     }
-    std::fprintf(f, "%s]\n  }\n}\n", first_frame ? "" : "\n    ");
+    std::fprintf(f, "%s]\n  },\n", first_frame ? "" : "\n    ");
+    // GC stall: the longest GC handler call, per row and per-round
+    // delivery count, from the BM_GcStall runs of this invocation.
+    std::fprintf(f, "  \"gc_stall\": {\n");
+    std::fprintf(f,
+                 "    \"scenario\": \"1 group x 3 replicas, steady load of "
+                 "per_round deliveries per GC interval; longest GC tick or "
+                 "gc_prune handler call while it flows\",\n");
+    std::fprintf(f, "    \"rows\": [");
+    bool first_row = true;
+    for (const auto& [row, by_count] : g_gc_stall) {
+        for (const auto& [per_round, st] : by_count) {
+            std::fprintf(f,
+                         "%s\n      {\"row\": \"%s\", \"per_round\": %lld, "
+                         "\"max_gc_call_us\": %.1f, "
+                         "\"max_entries_per_call\": %zu}",
+                         first_row ? "" : ",", row.c_str(),
+                         static_cast<long long>(per_round), st.max_us,
+                         st.max_entries);
+            first_row = false;
+        }
+    }
+    std::fprintf(f, "%s]\n  }\n}\n", first_row ? "" : "\n    ");
     std::fclose(f);
     std::fprintf(stderr, "wrote %s\n", path);
 }
@@ -1080,6 +1110,120 @@ BENCHMARK_CAPTURE(BM_GcRound, ftskeen, harness::ProtocolKind::ftskeen)
 BENCHMARK_CAPTURE(BM_GcRound, fastcast, harness::ProtocolKind::fastcast)
     ->Arg(1000)->Arg(10000)->Arg(100000)
     ->Iterations(50)->Unit(benchmark::kMicrosecond);
+
+// --- GC stall: the longest GC handler call ----------------------------------
+//
+// A 1-group x 3-replica cluster under steady single-group load of
+// `per_round` deliveries per GC interval, so each GC round licenses about
+// that many entries. Every replica is wrapped to time (wall clock) its GC
+// handler calls while the load flows: timer calls (the GC tick, with the
+// retry tick beside it) and gc_prune messages. Reported: the longest such
+// call, and the most entries any one handler call compacted. A GC round
+// or prune that compacts its whole floor grows with `per_round`; one that
+// only raises the floor, leaving the compaction to the deliveries that
+// follow, stays flat. The black-box rows' tick also prunes the consensus
+// log (MultiPaxos::prune_chosen), which still grows with `per_round`.
+class GcCallTimer final : public Process {
+public:
+    GcCallTimer(std::unique_ptr<Process> inner, std::uint8_t prune_type,
+                TimePoint until, GcCallStats& stats)
+        : inner_(std::move(inner)), prune_type_(prune_type), until_(until),
+          stats_(stats) {
+        for (Process* p = inner_.get(); p != nullptr && core_ == nullptr;
+             p = p->wrapped())
+            core_ = dynamic_cast<ReplicaCore*>(p);
+    }
+    void on_start(Context& ctx) override { inner_->on_start(ctx); }
+    void on_message(Context& ctx, ProcessId from,
+                    const BufferSlice& bytes) override {
+        const codec::EnvelopeView env(bytes);
+        const bool prune = env.module == codec::Module::proto &&
+                           env.type == prune_type_;
+        timed(ctx, prune, [&] { inner_->on_message(ctx, from, bytes); });
+    }
+    void on_timer(Context& ctx, TimerId id) override {
+        timed(ctx, true, [&] { inner_->on_timer(ctx, id); });
+    }
+    Process* wrapped() override { return inner_.get(); }
+
+private:
+    template <class Call>
+    void timed(Context& ctx, bool gc_call, Call&& call) {
+        const bool on = ctx.now() < until_;
+        const std::size_t before = core_->compacted_count();
+        const auto t0 = std::chrono::steady_clock::now();
+        call();
+        const double us = std::chrono::duration<double, std::micro>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+        if (!on) return;
+        if (gc_call) stats_.max_us = std::max(stats_.max_us, us);
+        const std::size_t after = core_->compacted_count();
+        if (after > before)
+            stats_.max_entries = std::max(stats_.max_entries, after - before);
+    }
+
+    std::unique_ptr<Process> inner_;
+    std::uint8_t prune_type_;
+    TimePoint until_;
+    GcCallStats& stats_;
+    ReplicaCore* core_ = nullptr;
+};
+
+std::uint8_t gc_prune_type(harness::ProtocolKind kind) {
+    switch (kind) {
+        case harness::ProtocolKind::ftskeen:
+            return static_cast<std::uint8_t>(ftskeen::MsgType::gc_prune);
+        case harness::ProtocolKind::fastcast:
+            return static_cast<std::uint8_t>(fastcast::MsgType::gc_prune);
+        default:
+            return static_cast<std::uint8_t>(wbcast::MsgType::gc_prune);
+    }
+}
+
+void BM_GcStall(benchmark::State& state, harness::ProtocolKind kind) {
+    const std::int64_t per_round = state.range(0);
+    const Duration interval = milliseconds(50);
+    const Duration every = interval / per_round;
+    const TimePoint load_end = milliseconds(1) + 4 * per_round * every;
+    GcCallStats stats;
+    for (auto _ : state) {
+        harness::ClusterConfig cfg;
+        cfg.kind = kind;
+        cfg.groups = 1;
+        cfg.group_size = 3;
+        cfg.clients = 1;
+        cfg.delta = microseconds(20);
+        cfg.client_retry = seconds(3600);
+        cfg.replica.election_enabled = false;
+        cfg.replica.retry_interval = interval;
+        cfg.replica.gc_interval = interval;
+        cfg.wrap_replica = [&](ProcessId, std::unique_ptr<Process> r) {
+            return std::make_unique<GcCallTimer>(
+                std::move(r), gc_prune_type(kind), load_end, stats);
+        };
+        harness::Cluster c(std::move(cfg));
+        for (std::int64_t i = 0; i < 4 * per_round; ++i)
+            c.multicast_at(milliseconds(1) + i * every, 0, {0});
+        c.run_for(6 * interval);
+        if (c.log().completed_count() <
+            static_cast<std::size_t>(4 * per_round)) {
+            state.SkipWithError("load did not complete");
+            return;
+        }
+    }
+    state.counters["max_gc_call_us"] = stats.max_us;
+    state.counters["max_entries_per_call"] =
+        static_cast<double>(stats.max_entries);
+    state.SetLabel(harness::to_string(kind));
+    g_gc_stall[harness::to_string(kind)][per_round] = stats;
+}
+BENCHMARK_CAPTURE(BM_GcStall, wbcast, harness::ProtocolKind::wbcast)
+    ->Arg(1000)->Arg(10000)->Iterations(1)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_GcStall, ftskeen, harness::ProtocolKind::ftskeen)
+    ->Arg(1000)->Arg(10000)->Iterations(1)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_GcStall, fastcast, harness::ProtocolKind::fastcast)
+    ->Arg(1000)->Arg(10000)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 void BM_HistogramRecord(benchmark::State& state) {
     stats::Histogram h;

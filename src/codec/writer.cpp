@@ -2,38 +2,6 @@
 
 namespace wbam::codec {
 
-void Writer::u16(std::uint16_t v) {
-    u8(static_cast<std::uint8_t>(v));
-    u8(static_cast<std::uint8_t>(v >> 8));
-}
-
-void Writer::u32(std::uint32_t v) {
-    u16(static_cast<std::uint16_t>(v));
-    u16(static_cast<std::uint16_t>(v >> 16));
-}
-
-void Writer::u64(std::uint64_t v) {
-    u32(static_cast<std::uint32_t>(v));
-    u32(static_cast<std::uint32_t>(v >> 32));
-}
-
-void Writer::varint(std::uint64_t v) {
-    while (v >= 0x80) {
-        u8(static_cast<std::uint8_t>(v) | 0x80);
-        v >>= 7;
-    }
-    u8(static_cast<std::uint8_t>(v));
-}
-
-void Writer::zigzag(std::int64_t v) {
-    varint((static_cast<std::uint64_t>(v) << 1) ^
-           static_cast<std::uint64_t>(v >> 63));
-}
-
-void Writer::raw(const std::uint8_t* data, std::size_t n) {
-    buf_.insert(buf_.end(), data, data + n);
-}
-
 void Writer::bytes(const Bytes& b) {
     varint(b.size());
     raw(b.data(), b.size());

@@ -129,8 +129,7 @@ Cluster::Cluster(ClusterConfig cfg)
     };
 
     for (ProcessId p = 0; p < topo_.num_replicas(); ++p)
-        world_->add_process(p, make_acking_replica(cfg_.kind, topo_, p, sink_,
-                                                   replica_config_for(p)));
+        world_->add_process(p, build_replica(p, sink_));
     for (int c = 0; c < topo_.num_clients(); ++c) {
         auto client = std::make_unique<ScriptedClient>(topo_, &log_,
                                                        cfg_.client_retry);
@@ -144,6 +143,14 @@ ReplicaConfig Cluster::replica_config_for(ProcessId p) const {
     ReplicaConfig rc = cfg_.replica;
     if (cfg_.tune_replica) cfg_.tune_replica(p, rc);
     return rc;
+}
+
+std::unique_ptr<Process> Cluster::build_replica(ProcessId p,
+                                                DeliverySink sink) {
+    auto replica = make_acking_replica(cfg_.kind, topo_, p, std::move(sink),
+                                       replica_config_for(p));
+    if (cfg_.wrap_replica) return cfg_.wrap_replica(p, std::move(replica));
+    return replica;
 }
 
 void Cluster::restart_replica(ProcessId p) {
@@ -162,9 +169,7 @@ void Cluster::restart_replica(ProcessId p) {
         if (seen->erase(m.id)) return;
         base(ctx, group, m);
     };
-    world_->restart(p, make_acking_replica(cfg_.kind, topo_, p,
-                                           std::move(sink),
-                                           replica_config_for(p)));
+    world_->restart(p, build_replica(p, std::move(sink)));
 }
 
 ScriptedClient& Cluster::client(int idx) {

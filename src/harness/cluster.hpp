@@ -107,6 +107,10 @@ struct ClusterConfig {
     // Per-replica config override, applied after copying `replica` — the
     // crash-restart tests use it to hand each process its own wal::Log.
     std::function<void(ProcessId, ReplicaConfig&)> tune_replica;
+    // Optional decorator around each replica process, at boot and at
+    // restart_replica (tests that watch every handler call).
+    std::function<std::unique_ptr<Process>(ProcessId, std::unique_ptr<Process>)>
+        wrap_replica;
 };
 
 class Cluster {
@@ -144,6 +148,7 @@ public:
 
 private:
     ReplicaConfig replica_config_for(ProcessId p) const;
+    std::unique_ptr<Process> build_replica(ProcessId p, DeliverySink sink);
 
     ClusterConfig cfg_;
     Topology topo_;

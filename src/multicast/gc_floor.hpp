@@ -12,12 +12,14 @@
 // that never delivered stay GC-silent.
 //
 // The wire bodies live here once; each protocol tags them with its own
-// Module::proto type values. So does the member-side CompactionQueue,
-// which keeps a GC round's cost proportional to what it compacts.
+// Module::proto type values. So does the member-side CompactionQueue:
+// the floor licenses compaction, and the queue hands it out a bounded
+// number of entries at a time (ReplicaCore spreads it over deliveries).
 #ifndef WBAM_MULTICAST_GC_FLOOR_HPP
 #define WBAM_MULTICAST_GC_FLOOR_HPP
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <utility>
 #include <vector>
@@ -98,10 +100,11 @@ enum class GcStep : std::uint8_t {
 // Member-side index of the compaction work that is due: every message
 // delivered here whose entry still holds its payload, in delivery order
 // (= gts order, since every member delivers in strictly increasing gts).
-// A GC round pops the prefix at-or-below the group floor, so it costs
-// O(entries compacted) however many stubs the replica retains. The queue
-// also summarises the stubs themselves: how many, and the highest gts
-// among them (what a catch-up server needs to know it can serve).
+// A drain pops the prefix at-or-below the group floor, at most `budget`
+// entries of it, so it costs O(entries popped) however many stubs the
+// replica retains. The queue also summarises the stubs themselves: how
+// many, and the highest gts among them (what a catch-up server needs to
+// know it can serve).
 //
 // Rows push at their delivery point (ReplicaCore::deliver) and rebuild()
 // once after any event that replaces the entry table wholesale (wbcast's
@@ -122,13 +125,16 @@ public:
         if (pos == items_.end() || *pos != item) items_.insert(pos, item);
     }
 
-    // Offers each queued message with gts <= floor, in gts order, to
-    // `step(id)` and pops it unless the answer is not_yet. Returns how
-    // many were compacted.
+    // Offers queued messages with gts <= floor, in gts order and at most
+    // `budget` of them, to `step(id)` and pops each unless the answer is
+    // not_yet. Returns how many were compacted.
     template <class Step>
-    std::size_t drain_upto(Timestamp floor, Step&& step) {
+    std::size_t drain_upto(Timestamp floor, Step&& step,
+                           std::size_t budget = SIZE_MAX) {
         std::size_t n = 0;
-        while (head_ < items_.size() && items_[head_].first <= floor) {
+        for (; budget > 0 && head_ < items_.size() &&
+               items_[head_].first <= floor;
+             --budget) {
             const auto [gts, id] = items_[head_];
             const GcStep s = step(id);
             if (s == GcStep::not_yet) break;
@@ -148,8 +154,10 @@ public:
             head_ = 0;
         }
         if (n > 0) {
+            static obs::Counter& compacted_entries =
+                obs::metrics().counter("gc/compacted_entries");
             compacted_ += n;
-            obs::metrics().counter("gc/compacted_entries").add(n);
+            compacted_entries.add(n);
         }
         return n;
     }
@@ -175,6 +183,16 @@ public:
     }
 
     std::size_t size() const { return items_.size() - head_; }
+    // Queued messages with gts <= floor: the compaction still owed.
+    std::size_t count_upto(Timestamp floor) const {
+        const auto head = items_.begin() + static_cast<std::ptrdiff_t>(head_);
+        return static_cast<std::size_t>(
+            std::partition_point(head, items_.end(),
+                                 [&](const Item& it) {
+                                     return it.first <= floor;
+                                 }) -
+            head);
+    }
     // Stubs in the table, and the highest gts among them (⊥ if none).
     std::size_t compacted() const { return compacted_; }
     Timestamp max_compacted() const { return max_compacted_; }

@@ -1,5 +1,7 @@
 #include "multicast/replica_core.hpp"
 
+#include <cstdint>
+
 #include "common/assert.hpp"
 #include "wal/records.hpp"
 
@@ -26,6 +28,7 @@ void ReplicaCore::deliver(Context& ctx, Timestamp gts, const AppMessage& m) {
                          wal::encode_watermark(max_delivered_gts_));
     stages_.record(obs::Stage::delivered, m.submit_ts, ctx.now());
     sink_(ctx, g0_, m);
+    drain_gc(gc_floor_, gc_steps_per_delivery);
 }
 
 void ReplicaCore::restore_watermark() {
@@ -42,6 +45,14 @@ void ReplicaCore::arm_gc(Context& ctx) {
 bool ReplicaCore::gc_tick(Context& ctx, TimerId id) {
     if (id != gc_timer_) return false;
     gc_timer_ = ctx.set_timer(cfg_.gc_interval);
+    // Debt licensed before the previous tick had a whole interval of
+    // deliveries to pay it off; what is left (the load went idle) goes
+    // now. Not the floor raised since: a group's GC timers fire within a
+    // few ms of each other, and draining a fresh floor here would stall
+    // every member on a round's worth of compaction, one after another.
+    drain_gc(licensed_floor_, SIZE_MAX);
+    gc_round(ctx);
+    licensed_floor_ = gc_floor_;
     return true;
 }
 
@@ -52,18 +63,31 @@ void ReplicaCore::report_delivered(Context& ctx, ProcessId leader) const {
                                             GcStatusMsg{max_delivered_gts_}));
 }
 
-void ReplicaCore::finish_gc_round(Context& ctx, Timestamp floor,
-                                  std::size_t compacted) {
-    if (compacted > 0)
-        obs::events().note("gc_prune",
-                           std::string(row_) + ": compacted " +
-                               std::to_string(compacted) +
-                               " entries at floor " + to_string(floor),
-                           ctx.now());
+void ReplicaCore::lead_gc_round(Context& ctx) {
+    delivered_floor_.note(pid_, max_delivered_gts_);
+    const Timestamp floor = delivered_floor_.floor();
+    if (floor == bottom_ts) return;
+    raise_gc_floor(floor);
     const Buffer wire = codec::encode_envelope(
         codec::Module::proto, gc_tags_.prune, invalid_msg, GcPruneMsg{floor});
     for (const ProcessId p : topo_.members(g0_))
         if (p != pid_) ctx.send(p, wire);
+}
+
+void ReplicaCore::raise_gc_floor(Timestamp floor) {
+    if (floor <= gc_floor_) return;
+    gc_floor_ = floor;
+    gc_floor_raised(floor);
+}
+
+void ReplicaCore::restore_gc_floor(Timestamp floor) {
+    gc_floor_ = licensed_floor_ = std::max(gc_floor_, floor);
+    drain_gc(gc_floor_, SIZE_MAX);
+}
+
+void ReplicaCore::drain_gc(Timestamp floor, std::size_t budget) {
+    gc_queue_.drain_upto(
+        floor, [this](MsgId id) { return compact_entry(id); }, budget);
 }
 
 }  // namespace wbam

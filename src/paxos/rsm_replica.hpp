@@ -131,9 +131,9 @@ private:
     void dispatch_message(Context& ctx, ProcessId from,
                           const BufferSlice& bytes) final;
     void dispatch_timer(Context& ctx, TimerId id) final;
+    void gc_round(Context& ctx) final;
+    GcStep compact_entry(MsgId id) final;
     void replay_wal(Context& ctx);
-    void gc_round(Context& ctx);
-    std::size_t compact_upto(Timestamp floor);
     void install_state(Context& ctx, const BufferSlice& state);
 
     TimerId tick_timer_ = invalid_timer;
@@ -272,7 +272,7 @@ void RsmReplica<Ext>::dispatch_message(Context& ctx, ProcessId from,
         return;
     }
     if (env.type == gc_tags_.prune) {
-        compact_upto(prune_floor(::wbam::GcPruneMsg::decode(env.body)));
+        note_prune(::wbam::GcPruneMsg::decode(env.body));
         return;
     }
     handle_proto(ctx, from, env);
@@ -281,11 +281,6 @@ void RsmReplica<Ext>::dispatch_message(Context& ctx, ProcessId from,
 template <class Ext>
 void RsmReplica<Ext>::dispatch_timer(Context& ctx, TimerId id) {
     if (elector_.handle_timer(ctx, id)) return;
-    if (gc_tick(ctx, id)) {
-        paxos_.on_gc_tick(ctx);
-        gc_round(ctx);
-        return;
-    }
     if (id != tick_timer_) return;
     tick_timer_ = ctx.set_timer(cfg_.retry_interval);
     paxos_.on_tick(ctx);
@@ -302,9 +297,9 @@ void RsmReplica<Ext>::dispatch_timer(Context& ctx, TimerId id) {
 
 template <class Ext>
 void RsmReplica<Ext>::gc_round(Context& ctx) {
+    paxos_.on_gc_tick(ctx);
     if (paxos_.is_leader()) {
-        lead_gc_round(ctx,
-                      [&](Timestamp floor) { return compact_upto(floor); });
+        lead_gc_round(ctx);
         return;
     }
     // Idle members stay silent: nothing delivered means nothing to prune.
@@ -313,17 +308,15 @@ void RsmReplica<Ext>::gc_round(Context& ctx) {
 }
 
 template <class Ext>
-std::size_t RsmReplica<Ext>::compact_upto(Timestamp floor) {
+GcStep RsmReplica<Ext>::compact_entry(MsgId id) {
     // A message delivered by every member of the group drops its payload;
     // the ordering facts (lts/gts/phase and the row's fields) stay, so late
     // inter-group retries and leader recovery remain correct.
-    return gc_queue_.drain_upto(floor, [&](MsgId id) {
-        Entry& e = entries_.at(id);
-        if (e.compacted || !delivered_here(e)) return GcStep::stale;
-        e.msg.payload = BufferSlice{};
-        e.compacted = true;
-        return GcStep::compacted;
-    });
+    Entry& e = entries_.at(id);
+    if (e.compacted || !delivered_here(e)) return GcStep::stale;
+    e.msg.payload = BufferSlice{};
+    e.compacted = true;
+    return GcStep::compacted;
 }
 
 // --- catch-up: state transfer ------------------------------------------------

@@ -1,8 +1,8 @@
 // WAL record tags and the codec for the protocol-agnostic record bodies
-// (paxos log entries and delivery watermarks — everything expressible in
-// common/types.hpp vocabulary). Protocol-specific records (wbcast's
-// replicated-entry snapshots) are encoded by their own module; the wal
-// layer treats those bodies as opaque bytes.
+// (paxos log entries, delivery watermarks and GC floors — everything
+// expressible in common/types.hpp vocabulary). Protocol-specific records
+// (wbcast's replicated-entry snapshots) are encoded by their own module;
+// the wal layer treats those bodies as opaque bytes.
 //
 // The accepted/chosen records carry their command payload as a raw
 // suffix: the encoder writes a small meta prefix and the payload rides
@@ -32,6 +32,8 @@ enum class RecordType : std::uint8_t {
     wb_entry = 6,        // wbcast replicated entry (opaque EntryState body)
     wb_status = 7,       // wbcast ballots + clock (opaque body)
     app_delivered = 8,   // application-level delivery record (bench shim)
+    wb_floor = 9,        // wbcast delivered floor: every delivered entry at
+                         // or below it is a payload stub after replay
 };
 
 inline constexpr std::uint8_t tag(RecordType t) {
@@ -169,6 +171,20 @@ inline Timestamp decode_watermark(const BufferSlice& body) {
     ts.group = static_cast<GroupId>(r.zigzag());
     r.expect_done();
     return ts;
+}
+
+// --- wb_floor -----------------------------------------------------------
+
+// One record per raise of a wbcast replica's delivered floor (the group's
+// floor capped by the replica's own watermark), in place of a stub record
+// per compacted entry. Same body as a watermark.
+
+inline Bytes encode_floor(const Timestamp& floor) {
+    return encode_watermark(floor);
+}
+
+inline Timestamp decode_floor(const BufferSlice& body) {
+    return decode_watermark(body);
 }
 
 }  // namespace wbam::wal

@@ -161,8 +161,7 @@ void WbcastReplica::dispatch_message(Context& ctx, ProcessId from,
             handle_gc_status(from, GcStatusMsg::decode(env.body));
             return;
         case MsgType::gc_prune:
-            compact_upto(prune_floor(GcPruneMsg::decode(env.body)),
-                         /*require_deliver_sent=*/false);
+            note_prune(GcPruneMsg::decode(env.body));
             return;
         case MsgType::sync_req:
             handle_sync_req(ctx, from, SyncReqMsg::decode(env.body));
@@ -629,19 +628,34 @@ void WbcastReplica::handle_gc_status(ProcessId from, const GcStatusMsg& m) {
     if (m.max_delivered_gts > prog.first) prog = {m.max_delivered_gts, 0};
 }
 
-std::size_t WbcastReplica::compact_upto(Timestamp floor,
-                                        bool require_deliver_sent) {
+GcStep WbcastReplica::compact_entry(MsgId id) {
     // The queue holds exactly the committed, uncompacted entries delivered
-    // here, in gts order. The leader additionally waits for its own
-    // DELIVER to have gone out (Delivered[] is set in gts order, so the
-    // first entry still waiting ends the round).
-    return gc_queue_.drain_upto(floor, [&](MsgId id) {
-        Entry& e = entries_.at(id);
-        if (e.phase != Phase::committed || e.compacted) return GcStep::stale;
-        if (require_deliver_sent && !e.deliver_sent) return GcStep::not_yet;
-        compact(e);
-        return GcStep::compacted;
-    });
+    // here, in gts order. A leader additionally waits for its own DELIVER
+    // to have gone out (Delivered[] is set in gts order, so the first
+    // entry still waiting ends the drain).
+    Entry& e = entries_.at(id);
+    if (e.phase != Phase::committed || e.compacted) return GcStep::stale;
+    if (status_ == Status::leader && !e.deliver_sent) return GcStep::not_yet;
+    // Delivered by every member of the group: drop the payload and vote
+    // bookkeeping; the ordering facts (lts/gts/phase) stay, so recovery
+    // and late retries remain correct. Dropping the slice also releases
+    // this entry's share of the wire buffer it aliased. Nothing is logged
+    // per entry: the wb_floor record of the raise that licensed this is
+    // what replay compacts by.
+    e.msg.payload = BufferSlice{};
+    e.accepts.clear();
+    e.acks.clear();
+    e.compacted = true;
+    return GcStep::compacted;
+}
+
+void WbcastReplica::gc_floor_raised(Timestamp floor) {
+    // Durable before any message of this handler leaves, like every
+    // record: replay must not resurrect a payload-bearing record as the
+    // live entry once the floor proved everyone has it.
+    if (cfg_.wal)
+        cfg_.wal->append(wal::tag(wal::RecordType::wb_floor),
+                         wal::encode_floor(floor));
 }
 
 void WbcastReplica::rebuild_gc_queue() {
@@ -650,11 +664,19 @@ void WbcastReplica::rebuild_gc_queue() {
     });
 }
 
-void WbcastReplica::run_gc(Context& ctx) {
-    repair_lagging(ctx);
-    lead_gc_round(ctx, [&](Timestamp floor) {
-        return compact_upto(floor, /*require_deliver_sent=*/true);
-    });
+void WbcastReplica::gc_round(Context& ctx) {
+    if (status_ == Status::leader) {
+        repair_lagging(ctx);
+        lead_gc_round(ctx);
+    } else if (status_ == Status::follower && cballot_.leader() != pid_ &&
+               (max_delivered_gts_ > bottom_ts || !entries_.empty())) {
+        // A member with no entries and no deliveries pins the floor at ⊥
+        // either way, so the report would be a no-op: skip it and keep
+        // idle clusters free of GC traffic. A member holding entries
+        // reports even at ⊥ — its stalled watermark is what triggers the
+        // leader's DELIVER repair after a restart.
+        report_delivered(ctx, cballot_.leader());
+    }
 }
 
 void WbcastReplica::repair_lagging(Context& ctx) {
@@ -728,20 +750,6 @@ void WbcastReplica::handle_sync_req(Context& ctx, ProcessId from,
     resend_deliveries(ctx, from, m.watermark);
 }
 
-void WbcastReplica::compact(Entry& e) {
-    // A message delivered by every member of the group can drop its payload
-    // and vote bookkeeping; the ordering facts (lts/gts/phase) stay, so
-    // recovery and late retries remain correct. Dropping the slice also
-    // releases this entry's share of the wire buffer it aliased.
-    e.msg.payload = BufferSlice{};
-    e.accepts.clear();
-    e.acks.clear();
-    e.compacted = true;
-    // Durable stub: replay must not resurrect the payload-bearing record
-    // as the live entry (the delivered floor proved everyone has it).
-    log_entry(e);
-}
-
 // --- durability --------------------------------------------------------------
 
 void WbcastReplica::log_entry(const Entry& e) {
@@ -788,8 +796,11 @@ void WbcastReplica::replay_wal(Context&) {
     // Pass 2: ballots, clock and entries, in log order. Appends are muted
     // while replaying (wal::Log::replay), so re-running the mutations does
     // not re-log them.
+    Timestamp floor;
     log.replay([&](std::uint8_t type, const BufferSlice& body) {
-        if (type == wal::tag(wal::RecordType::wb_status)) {
+        if (type == wal::tag(wal::RecordType::wb_floor)) {
+            floor = std::max(floor, wal::decode_floor(body));
+        } else if (type == wal::tag(wal::RecordType::wb_status)) {
             const WbStatusRecord st = decode_wb_status(body);
             cballot_ = st.cballot;
             ballot_ = st.ballot;
@@ -814,7 +825,12 @@ void WbcastReplica::replay_wal(Context&) {
         entries_.at(it->second).deliver_sent = true;
         it = committed_by_gts_.erase(it);
     }
+    // The highest durable floor compacts every delivered entry at or below
+    // it, so the restart comes back with the stubs it had (and more, if
+    // it crashed owing compaction). Logs with per-entry stub records (no
+    // wb_floor) replay their stubs through restore_entry instead.
     rebuild_gc_queue();
+    restore_gc_floor(floor);
     // A promise above cballot means a leader change was in flight: stay
     // out of normal processing until its NEW_STATE (or a fresh NEWLEADER)
     // arrives. Otherwise resume leadership only when no competing ballot
@@ -843,36 +859,20 @@ void WbcastReplica::replay_wal(Context&) {
 
 void WbcastReplica::dispatch_timer(Context& ctx, TimerId id) {
     if (elector_.handle_timer(ctx, id)) return;
-    if (id == retry_timer_) {
-        retry_timer_ = ctx.set_timer(cfg_.retry_interval);
-        // If we are the trusted leader candidate but recovery stalled
-        // (lost messages, competing candidate), start a fresh ballot.
-        if (cfg_.election_enabled && elector_.trusts_self(ctx) &&
-            status_ != Status::leader &&
-            ctx.now() - last_recover_attempt_ >= 2 * cfg_.retry_interval)
-            recover(ctx);
-        // An unanswered resync request (leader busy, dead or deposed) is
-        // retried until some leader re-establishes us.
-        if (awaiting_resync_ && status_ == Status::recovering &&
-            ctx.now() - last_sync_req_ >= cfg_.retry_interval)
-            send_sync_req(ctx);
-        retry_stuck(ctx);
-        return;
-    }
-    if (gc_tick(ctx, id)) {
-        if (status_ == Status::leader) {
-            run_gc(ctx);
-        } else if (status_ == Status::follower && cballot_.leader() != pid_ &&
-                   (max_delivered_gts_ > bottom_ts || !entries_.empty())) {
-            // A member with no entries and no deliveries pins the floor at
-            // ⊥ either way, so the report would be a no-op: skip it and
-            // keep idle clusters free of GC traffic. A member holding
-            // entries reports even at ⊥ — its stalled watermark is what
-            // triggers the leader's DELIVER repair after a restart.
-            report_delivered(ctx, cballot_.leader());
-        }
-        return;
-    }
+    if (id != retry_timer_) return;
+    retry_timer_ = ctx.set_timer(cfg_.retry_interval);
+    // If we are the trusted leader candidate but recovery stalled (lost
+    // messages, competing candidate), start a fresh ballot.
+    if (cfg_.election_enabled && elector_.trusts_self(ctx) &&
+        status_ != Status::leader &&
+        ctx.now() - last_recover_attempt_ >= 2 * cfg_.retry_interval)
+        recover(ctx);
+    // An unanswered resync request (leader busy, dead or deposed) is
+    // retried until some leader re-establishes us.
+    if (awaiting_resync_ && status_ == Status::recovering &&
+        ctx.now() - last_sync_req_ >= cfg_.retry_interval)
+        send_sync_req(ctx);
+    retry_stuck(ctx);
 }
 
 }  // namespace wbam::wbcast

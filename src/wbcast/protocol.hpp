@@ -78,6 +78,9 @@ private:
     void dispatch_message(Context& ctx, ProcessId from,
                           const BufferSlice& bytes) override;
     void dispatch_timer(Context& ctx, TimerId id) override;
+    void gc_round(Context& ctx) override;
+    GcStep compact_entry(MsgId id) override;
+    void gc_floor_raised(Timestamp floor) override;
 
     // -- normal operation
     void handle_multicast(Context& ctx, const AppMessage& m);
@@ -104,12 +107,9 @@ private:
     // -- message recovery & garbage collection
     void retry_stuck(Context& ctx);
     void handle_gc_status(ProcessId from, const GcStatusMsg& m);
-    void run_gc(Context& ctx);
-    std::size_t compact_upto(Timestamp floor, bool require_deliver_sent);
     void rebuild_gc_queue();
     void repair_lagging(Context& ctx);
     void resend_deliveries(Context& ctx, ProcessId to, Timestamp above);
-    void compact(Entry& e);
 
     // -- durability (ReplicaConfig::wal)
     void log_entry(const Entry& e);

@@ -5,8 +5,15 @@
 // does to the messages in flight to the victim — so the follower comes
 // back with a gap in its consensus log, which Paxos fills again. It must
 // still deliver its group's sequence: nothing skipped, nothing reordered.
-// (wbcast assumes reliable channels between live processes; a restarted
-// wbcast member resyncs through SYNC_REQ instead.)
+//
+// wbcast is not a row here, because a lossy cut between two live
+// processes is outside its failure model. wbcast assumes reliable
+// channels between live processes: NetWorld keeps every frame until the
+// peer acks it, and a restarted member resyncs through SYNC_REQ before it
+// takes any DELIVER. Under this cut a live wbcast follower that lost some
+// DELIVERs takes the next one, with a larger gts, and skips the lost
+// messages (group order broke in 30 of 30 schedules when it was tried):
+// that is a model violation, not a bug.
 //
 // FastCast followers deliver up to the leader's DELIVER_FLOOR. A follower
 // with a gap may hold the commit of a later message (larger gts) while the

@@ -2,14 +2,18 @@
 // CompactionQueue itself, and the invariant every protocol row must keep
 // across the events that rebuild its entry table wholesale — wbcast's
 // NEWLEADER recompute, NEW_STATE install and WAL replay, ftskeen/fastcast
-// snapshot install and WAL replay. A GC round only looks at the queue, so
+// snapshot install and WAL replay. Compaction only looks at the queue, so
 // a delivered entry that never reached it would keep its payload forever.
 // After each event the cluster runs more traffic and quiesces; then every
 // replica must hold nothing but stubs (every entry was delivered by the
-// whole group, so every entry is at or below the group floor).
+// whole group, so every entry is at or below the group floor). Also here:
+// compaction is spread over deliveries (no handler call compacts a whole
+// round), and wbcast logs one floor record per raise, not one stub record
+// per entry.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -185,9 +189,10 @@ ClusterConfig index_config(ProtocolKind kind, std::uint64_t seed) {
 
 // Steady traffic over [from, to): single-group ops to either group and
 // cross-group ops, so both the fast and the cross-group paths deliver.
-void traffic(Cluster& c, TimePoint from, TimePoint to) {
+void traffic(Cluster& c, TimePoint from, TimePoint to,
+             Duration every = milliseconds(5)) {
     int i = 0;
-    for (TimePoint t = from; t < to; t += milliseconds(5), ++i) {
+    for (TimePoint t = from; t < to; t += every, ++i) {
         std::vector<GroupId> dests =
             i % 3 == 0 ? std::vector<GroupId>{0}
             : i % 3 == 1 ? std::vector<GroupId>{0, 1}
@@ -323,6 +328,104 @@ TEST_P(GcIndexTest, LeaderKilledAndRestartedFromWal) {
     expect_everything_compacted(c, kind);
 }
 
+// --- compaction spread over deliveries ---------------------------------------
+
+// What the watched handler calls did while load flowed.
+struct CallLedger {
+    TimePoint until = 0;  // calls starting before this are watched
+    std::map<ProcessId, std::size_t> delivered;  // counted by the sink
+    std::size_t compacting_calls = 0;
+    std::size_t over_budget = 0;
+    std::string first_over;
+};
+
+// Wraps one replica and reads compacted_count() around every handler
+// call: a call may compact at most gc_steps_per_delivery entries for each
+// message it delivered.
+class CompactionWatch final : public Process {
+public:
+    CompactionWatch(ProcessId self, std::unique_ptr<Process> inner,
+                    CallLedger& ledger)
+        : self_(self), inner_(std::move(inner)), ledger_(ledger) {
+        for (Process* p = inner_.get(); p != nullptr && core_ == nullptr;
+             p = p->wrapped())
+            core_ = dynamic_cast<ReplicaCore*>(p);
+    }
+
+    void on_start(Context& ctx) override { inner_->on_start(ctx); }
+    void on_message(Context& ctx, ProcessId from,
+                    const BufferSlice& bytes) override {
+        watch(ctx, "message", [&] { inner_->on_message(ctx, from, bytes); });
+    }
+    void on_timer(Context& ctx, TimerId id) override {
+        watch(ctx, "timer", [&] { inner_->on_timer(ctx, id); });
+    }
+    Process* wrapped() override { return inner_.get(); }
+
+private:
+    template <class Call>
+    void watch(Context& ctx, const char* kind, Call&& call) {
+        const bool on = ctx.now() < ledger_.until;
+        const std::size_t compacted0 = core_->compacted_count();
+        const std::size_t delivered0 = ledger_.delivered[self_];
+        call();
+        if (!on || core_->compacted_count() <= compacted0) return;
+        const std::size_t compacted = core_->compacted_count() - compacted0;
+        const std::size_t delivered = ledger_.delivered[self_] - delivered0;
+        ++ledger_.compacting_calls;
+        if (compacted <= ReplicaCore::gc_steps_per_delivery * delivered)
+            return;
+        if (ledger_.over_budget++ == 0)
+            ledger_.first_over = "p" + std::to_string(self_) + "'s " + kind +
+                                 " call at " + std::to_string(ctx.now()) +
+                                 " ns compacted " + std::to_string(compacted) +
+                                 " entries and delivered " +
+                                 std::to_string(delivered);
+    }
+
+    ProcessId self_;
+    std::unique_ptr<Process> inner_;
+    CallLedger& ledger_;
+    ReplicaCore* core_ = nullptr;
+};
+
+// A few thousand deliveries per group under GC: while load flows, no
+// handler call compacts more than the per-delivery constant per message
+// it delivers (the GC round and the prune only raise the floor). Once
+// load stops, the GC ticks pay off the rest: every member's floor reaches
+// its watermark and every delivered entry is a stub.
+TEST_P(GcIndexTest, NoHandlerCompactsAWholeRound) {
+    const ProtocolKind kind = GetParam();
+    ClusterConfig cfg = index_config(kind, 11);
+    cfg.trace_sends = false;
+    const TimePoint load_end = milliseconds(1000);
+    CallLedger ledger;
+    ledger.until = load_end;
+    cfg.extra_sink = [&ledger](Context& ctx, GroupId, const AppMessage&) {
+        ++ledger.delivered[ctx.self()];
+    };
+    cfg.wrap_replica = [&ledger](ProcessId p, std::unique_ptr<Process> r) {
+        return std::make_unique<CompactionWatch>(p, std::move(r), ledger);
+    };
+    Cluster c(cfg);
+    traffic(c, milliseconds(2), load_end, microseconds(250));
+    c.run_until(load_end + 6 * cfg.replica.gc_interval);
+
+    const auto result = c.check();
+    EXPECT_TRUE(result.ok()) << result.summary();
+    EXPECT_EQ(c.log().completed_count(), c.log().multicasts().size());
+    EXPECT_GE(c.log().multicasts().size(), 3900u);
+    // Compaction did run while load flowed, spread over many calls.
+    EXPECT_GT(ledger.compacting_calls, 1000u);
+    EXPECT_EQ(ledger.over_budget, 0u) << ledger.first_over;
+    for (ProcessId p = 0; p < c.topo().num_replicas(); ++p) {
+        auto& core = c.world().process_as<ReplicaCore>(p);
+        EXPECT_EQ(core.gc_floor(), core.max_delivered_gts()) << "replica " << p;
+        EXPECT_EQ(core.gc_debt(), 0u) << "replica " << p;
+    }
+    expect_everything_compacted(c, kind);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllRows, GcIndexTest,
                          ::testing::Values(ProtocolKind::wbcast,
                                            ProtocolKind::ftskeen,
@@ -345,6 +448,55 @@ TEST(GcIndexWbcastTest, LeaderResumesFromWalReplay) {
     EXPECT_EQ(r.status(), wbcast::Status::leader);
     EXPECT_EQ(r.cballot().round, 1u);  // no leader change
     expect_everything_compacted(c, ProtocolKind::wbcast);
+}
+
+// The compacted flag of a wb_entry record body (wbcast/protocol.cpp's
+// layout: clock, phase, lts, gts, compacted, ...).
+bool wb_entry_is_stub(const BufferSlice& body) {
+    codec::Reader r(body);
+    r.u64();     // clock
+    r.varint();  // phase
+    r.u64();     // lts
+    r.zigzag();
+    r.u64();     // gts
+    r.zigzag();
+    return r.varint() != 0;
+}
+
+// Under steady load with no leader change, wbcast's WAL holds a wb_floor
+// record per floor raise and no per-entry stub record; a replica restarted
+// from it comes back with the stubs it had.
+TEST(GcIndexWbcastTest, WalLogsFloorsNotStubs) {
+    WalSet wals(6, "wbcast_floor");
+    Cluster c(durable_config(wals, ProtocolKind::wbcast, 13));
+    traffic(c, milliseconds(2), milliseconds(600), milliseconds(1));
+    c.run_for(milliseconds(900));
+    expect_everything_compacted(c, ProtocolKind::wbcast);
+    for (ProcessId p = 0; p < c.topo().num_replicas(); ++p) {
+        const wal::Log log(wals.path(p), wal::SyncMode::off);
+        std::size_t floors = 0;
+        std::size_t stubs = 0;
+        for (const wal::Record& r : log.recovered()) {
+            if (r.type == wal::tag(wal::RecordType::wb_floor)) ++floors;
+            if (r.type == wal::tag(wal::RecordType::wb_entry) &&
+                wb_entry_is_stub(r.body))
+                ++stubs;
+        }
+        EXPECT_GT(floors, 5u) << "replica " << p;
+        EXPECT_EQ(stubs, 0u) << "replica " << p;
+    }
+    // A follower killed once everything is compacted replays every entry
+    // back to a stub from its floor records alone.
+    const ProcessId victim = c.topo().member(1, 1);
+    auto& before = c.world().process_as<wbcast::WbcastReplica>(victim);
+    const std::size_t entries = before.entry_count();
+    ASSERT_EQ(before.compacted_count(), entries);
+    c.world().crash(victim);
+    wals.kill_and_reopen(victim);
+    c.restart_replica(victim);
+    auto& after = c.world().process_as<wbcast::WbcastReplica>(victim);
+    EXPECT_EQ(after.entry_count(), entries);
+    EXPECT_EQ(after.compacted_count(), entries);
 }
 
 class GcIndexSnapshotTest : public ::testing::TestWithParam<ProtocolKind> {};

@@ -215,6 +215,17 @@ TEST(WalRecords, PaxosAndWatermarkCodecsRoundTrip) {
     EXPECT_EQ(decode_watermark(BufferSlice(encode_watermark(ts))), ts);
 }
 
+// wbcast's delivered-floor record: one per floor raise, tag 9 on disk.
+TEST(WalRecords, FloorCodecRoundTrips) {
+    EXPECT_EQ(tag(RecordType::wb_floor), 9u);
+    const Timestamp floor{41, -2};
+    EXPECT_EQ(decode_floor(BufferSlice(encode_floor(floor))), floor);
+    Bytes extra = encode_floor(floor);
+    extra.push_back(0);
+    EXPECT_THROW(decode_floor(BufferSlice(std::move(extra))),
+                 codec::DecodeError);
+}
+
 // The crash-point fuzz: build a log of seeded random records, then for
 // EVERY byte offset L of the on-disk image, present the first L bytes as
 // the post-crash file and require that recovery yields an exact prefix
