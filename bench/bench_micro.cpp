@@ -620,6 +620,7 @@ std::map<std::size_t, double> g_net_read_ns;  // frame bytes -> ns per frame
 struct GcCallStats {
     double max_us = 0;
     std::size_t max_entries = 0;
+    std::uint64_t max_slots = 0;  // consensus-log slots (black-box rows)
 };
 std::map<std::string, std::map<std::int64_t, GcCallStats>> g_gc_stall;
 
@@ -890,10 +891,12 @@ void write_bench_json() {
             std::fprintf(f,
                          "%s\n      {\"row\": \"%s\", \"per_round\": %lld, "
                          "\"max_gc_call_us\": %.1f, "
-                         "\"max_entries_per_call\": %zu}",
+                         "\"max_entries_per_call\": %zu, "
+                         "\"max_slots_per_call\": %llu}",
                          first_row ? "" : ",", row.c_str(),
                          static_cast<long long>(per_round), st.max_us,
-                         st.max_entries);
+                         st.max_entries,
+                         static_cast<unsigned long long>(st.max_slots));
             first_row = false;
         }
     }
@@ -1118,20 +1121,25 @@ BENCHMARK_CAPTURE(BM_GcRound, fastcast, harness::ProtocolKind::fastcast)
 // that many entries. Every replica is wrapped to time (wall clock) its GC
 // handler calls while the load flows: timer calls (the GC tick, with the
 // retry tick beside it) and gc_prune messages. Reported: the longest such
-// call, and the most entries any one handler call compacted. A GC round
-// or prune that compacts its whole floor grows with `per_round`; one that
-// only raises the floor, leaving the compaction to the deliveries that
-// follow, stays flat. The black-box rows' tick also prunes the consensus
-// log (MultiPaxos::prune_chosen), which still grows with `per_round`.
+// call, the most entries any one handler call compacted and, on the
+// black-box rows, the most consensus-log slots any one handler call
+// pruned. A GC round or prune that compacts its whole floor (or prunes
+// its whole applied floor) grows with `per_round`; one that only raises
+// the floors, leaving the work to the deliveries and applies that follow,
+// stays flat.
 class GcCallTimer final : public Process {
 public:
     GcCallTimer(std::unique_ptr<Process> inner, std::uint8_t prune_type,
                 TimePoint until, GcCallStats& stats)
         : inner_(std::move(inner)), prune_type_(prune_type), until_(until),
           stats_(stats) {
-        for (Process* p = inner_.get(); p != nullptr && core_ == nullptr;
-             p = p->wrapped())
-            core_ = dynamic_cast<ReplicaCore*>(p);
+        for (Process* p = inner_.get(); p != nullptr; p = p->wrapped()) {
+            if (core_ == nullptr) core_ = dynamic_cast<ReplicaCore*>(p);
+            if (auto* r = dynamic_cast<ftskeen::FtSkeenReplica*>(p))
+                engine_ = &r->paxos();
+            if (auto* r = dynamic_cast<fastcast::FastCastReplica*>(p))
+                engine_ = &r->paxos();
+        }
     }
     void on_start(Context& ctx) override { inner_->on_start(ctx); }
     void on_message(Context& ctx, ProcessId from,
@@ -1151,6 +1159,7 @@ private:
     void timed(Context& ctx, bool gc_call, Call&& call) {
         const bool on = ctx.now() < until_;
         const std::size_t before = core_->compacted_count();
+        const std::uint64_t pruned = engine_ ? engine_->pruned_upto() : 0;
         const auto t0 = std::chrono::steady_clock::now();
         call();
         const double us = std::chrono::duration<double, std::micro>(
@@ -1161,6 +1170,9 @@ private:
         const std::size_t after = core_->compacted_count();
         if (after > before)
             stats_.max_entries = std::max(stats_.max_entries, after - before);
+        if (engine_)
+            stats_.max_slots =
+                std::max(stats_.max_slots, engine_->pruned_upto() - pruned);
     }
 
     std::unique_ptr<Process> inner_;
@@ -1168,6 +1180,7 @@ private:
     TimePoint until_;
     GcCallStats& stats_;
     ReplicaCore* core_ = nullptr;
+    const paxos::MultiPaxos* engine_ = nullptr;
 };
 
 std::uint8_t gc_prune_type(harness::ProtocolKind kind) {
@@ -1215,6 +1228,7 @@ void BM_GcStall(benchmark::State& state, harness::ProtocolKind kind) {
     state.counters["max_gc_call_us"] = stats.max_us;
     state.counters["max_entries_per_call"] =
         static_cast<double>(stats.max_entries);
+    state.counters["max_slots_per_call"] = static_cast<double>(stats.max_slots);
     state.SetLabel(harness::to_string(kind));
     g_gc_stall[harness::to_string(kind)][per_round] = stats;
 }

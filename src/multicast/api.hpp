@@ -72,13 +72,14 @@ struct ReplicaConfig {
     bool election_enabled = true;
     Duration heartbeat_interval = milliseconds(20);
     Duration suspect_timeout = milliseconds(150);
-    // Garbage collection, one timer per replica (multicast/replica_core.hpp).
-    // Every gc_interval members report their delivery watermark to the
-    // leader, which compacts delivered entries to stubs below the
-    // group-wide delivered floor and announces it. In the black-box rows
-    // (ftskeen, fastcast) the same tick also drives the MultiPaxos
-    // chosen-log prune below the group-wide applied floor; a member that
-    // fell behind it catches up via state snapshot.
+    // Garbage collection, one timer and one report/announce exchange per
+    // replica (multicast/replica_core.hpp). Every gc_interval members
+    // report their delivery watermark to the leader, which announces the
+    // group-wide delivered floor; entries below it compact to stubs. In
+    // the black-box rows (ftskeen, fastcast) the same report carries the
+    // paxos applied_upto and the same announce the applied floor, below
+    // which MultiPaxos prunes its chosen log; a member that fell behind it
+    // catches up via state snapshot.
     bool gc_enabled = true;
     Duration gc_interval = milliseconds(250);
     // Leader-side send batching (BatchingContext): coalesce same-destination

@@ -11,6 +11,10 @@
 // nothing and an unreported member pins the floor at bottom, so clusters
 // that never delivered stay GC-silent.
 //
+// The black-box rows also report their paxos applied_upto, and the
+// leader folds a second floor from it under its own rule
+// (DeliveredFloor::applied_floor). wbcast sends zero there.
+//
 // The wire bodies live here once; each protocol tags them with its own
 // Module::proto type values. So does the member-side CompactionQueue:
 // the floor licenses compaction, and the queue hands it out a bounded
@@ -25,69 +29,125 @@
 #include <vector>
 
 #include "codec/fields.hpp"
+#include "common/time.hpp"
 #include "common/types.hpp"
 #include "obs/metrics.hpp"
 
 namespace wbam {
 
-// Member -> leader: this member's delivery watermark.
+// Member -> leader: this member's delivery watermark, and how far it
+// applied its group's consensus log.
 struct GcStatusMsg {
     Timestamp max_delivered_gts;
+    std::uint64_t applied_upto = 0;
 
     void encode(codec::Writer& w) const {
         codec::write_field(w, max_delivered_gts);
+        codec::write_field(w, applied_upto);
     }
     static GcStatusMsg decode(codec::Reader& r) {
         GcStatusMsg m;
         codec::read_field(r, m.max_delivered_gts);
+        codec::read_field(r, m.applied_upto);
         return m;
     }
 };
 
-// Leader -> group: the group-wide delivered floor.
+// Leader -> group: the group-wide delivered floor, the consensus log's
+// applied floor, and the leader's own applied_upto.
 struct GcPruneMsg {
     Timestamp floor;
+    std::uint64_t applied_floor = 0;
+    std::uint64_t applied_upto = 0;
 
-    void encode(codec::Writer& w) const { codec::write_field(w, floor); }
+    void encode(codec::Writer& w) const {
+        codec::write_field(w, floor);
+        codec::write_field(w, applied_floor);
+        codec::write_field(w, applied_upto);
+    }
     static GcPruneMsg decode(codec::Reader& r) {
         GcPruneMsg m;
         codec::read_field(r, m.floor);
+        codec::read_field(r, m.applied_floor);
+        codec::read_field(r, m.applied_upto);
         return m;
     }
 };
 
-// Leader-side bookkeeping: the last delivery report per group member and
-// the floor over them.
+// Leader-side bookkeeping: the last report per group member and the two
+// floors over them.
 class DeliveredFloor {
 public:
     DeliveredFloor() = default;
-    explicit DeliveredFloor(std::vector<ProcessId> members)
-        : members_(std::move(members)) {}
+    DeliveredFloor(std::vector<ProcessId> members, std::size_t quorum)
+        : members_(std::move(members)), quorum_(quorum) {}
 
-    // Folds a member's report (reports only ever advance).
-    void note(ProcessId member, Timestamp delivered) {
-        auto& known = reports_[member];
-        known = std::max(known, delivered);
+    // Folds a member's report, received at `at` (reports only advance).
+    void note(ProcessId member, Timestamp delivered,
+              std::uint64_t applied = 0, TimePoint at = 0) {
+        Report& known = reports_[member];
+        known.gts = std::max(known.gts, delivered);
+        known.applied = std::max(known.applied, applied);
+        known.at = at;
     }
 
     // Minimum over ALL members' last reports; bottom while any member has
     // yet to report (an unreported member pins retention — exactly the
     // conservative behaviour the stub/compaction safety argument needs).
+    // No freshness check: a silent member pins it forever.
     Timestamp floor() const {
         Timestamp f;
         bool first = true;
         for (const ProcessId p : members_) {
             const auto it = reports_.find(p);
             if (it == reports_.end()) return bottom_ts;
-            f = first ? it->second : std::min(f, it->second);
+            f = first ? it->second.gts : std::min(f, it->second.gts);
             first = false;
         }
         return f;
     }
 
+    // Minimum applied_upto over reports younger than `window` once at
+    // least a quorum are; else the last such floor (it never regresses).
+    // A severed member does not pin the consensus log this way: it heals
+    // by state snapshot instead.
+    std::uint64_t applied_floor(TimePoint now, Duration window) {
+        std::size_t fresh = 0;
+        std::uint64_t f = UINT64_MAX;
+        for (const auto& [p, rep] : reports_) {
+            if (now - rep.at > window) continue;
+            ++fresh;
+            f = std::min(f, rep.applied);
+        }
+        if (fresh >= quorum_) applied_floor_ = std::max(applied_floor_, f);
+        return applied_floor_;
+    }
+
+    // The member other than `self` with the highest applied report younger
+    // than `window` (a stale one may name a dead ex-leader), if any.
+    ProcessId deepest(ProcessId self, TimePoint now, Duration window) const {
+        ProcessId best = invalid_process;
+        std::uint64_t applied = 0;
+        for (const auto& [p, rep] : reports_) {
+            if (p == self || rep.applied <= applied) continue;
+            if (now - rep.at > window) continue;
+            applied = rep.applied;
+            best = p;
+        }
+        return best;
+    }
+
 private:
+    struct Report {
+        Timestamp gts;
+        std::uint64_t applied = 0;
+        TimePoint at = 0;
+    };
+
     std::vector<ProcessId> members_;
-    std::map<ProcessId, Timestamp> reports_;
+    std::size_t quorum_ = 1;
+    std::map<ProcessId, Report> reports_;
+    std::uint64_t applied_floor_ = 0;
 };
 
 // What a protocol row's compaction callback did with one queued message.

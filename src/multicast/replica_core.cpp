@@ -12,7 +12,8 @@ ReplicaCore::ReplicaCore(const char* row, GcTags gc, const Topology& topo,
                          const ReplicaConfig& cfg)
     : row_(row), topo_(topo), pid_(pid), g0_(topo.group_of(pid)),
       sink_(std::move(sink)), cfg_(cfg), stages_(row), gc_tags_(gc),
-      delivered_floor_(topo.members(g0_)) {
+      delivered_floor_(topo.members(g0_),
+                       static_cast<std::size_t>(topo.quorum_size())) {
     WBAM_ASSERT_MSG(g0_ != invalid_group, "a replica must be in a group");
 }
 
@@ -56,22 +57,30 @@ bool ReplicaCore::gc_tick(Context& ctx, TimerId id) {
     return true;
 }
 
-void ReplicaCore::report_delivered(Context& ctx, ProcessId leader) const {
+void ReplicaCore::report_delivered(Context& ctx, ProcessId leader,
+                                   std::uint64_t applied_upto) const {
     if (leader == pid_ || leader == invalid_process) return;
-    ctx.send(leader, codec::encode_envelope(codec::Module::proto,
-                                            gc_tags_.status, invalid_msg,
-                                            GcStatusMsg{max_delivered_gts_}));
+    ctx.send(leader,
+             codec::encode_envelope(codec::Module::proto, gc_tags_.status,
+                                    invalid_msg,
+                                    GcStatusMsg{max_delivered_gts_,
+                                                applied_upto}));
 }
 
-void ReplicaCore::lead_gc_round(Context& ctx) {
-    delivered_floor_.note(pid_, max_delivered_gts_);
-    const Timestamp floor = delivered_floor_.floor();
-    if (floor == bottom_ts) return;
-    raise_gc_floor(floor);
+std::uint64_t ReplicaCore::lead_gc_round(Context& ctx,
+                                         std::uint64_t applied_upto) {
+    delivered_floor_.note(pid_, max_delivered_gts_, applied_upto, ctx.now());
+    const GcPruneMsg m{
+        delivered_floor_.floor(),
+        delivered_floor_.applied_floor(ctx.now(), gc_fresh_window()),
+        applied_upto};
+    if (m.floor == bottom_ts && m.applied_floor == 0) return 0;
+    raise_gc_floor(m.floor);
     const Buffer wire = codec::encode_envelope(
-        codec::Module::proto, gc_tags_.prune, invalid_msg, GcPruneMsg{floor});
+        codec::Module::proto, gc_tags_.prune, invalid_msg, m);
     for (const ProcessId p : topo_.members(g0_))
         if (p != pid_) ctx.send(p, wire);
+    return m.applied_floor;
 }
 
 void ReplicaCore::raise_gc_floor(Timestamp floor) {

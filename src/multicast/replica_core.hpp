@@ -17,6 +17,8 @@
 //    A round only raises the floor; the compaction it licenses is paid
 //    off by the deliveries that follow, a bounded few per delivery, so
 //    no handler compacts a whole interval's worth of entries at once.
+//    The black-box rows carry their consensus log's applied progress on
+//    the same exchange, so each group runs one GC round, not two.
 //
 // A row derives from ReplicaCore, implements dispatch_message,
 // dispatch_timer, gc_round and compact_entry, and keeps only its ordering
@@ -97,13 +99,17 @@ protected:
     // --- delivered-floor GC --------------------------------------------------
     // Arms the GC timer (ReplicaConfig::gc_enabled / gc_interval).
     void arm_gc(Context& ctx);
-    // Member side: reports the watermark to `leader` (not to ourselves).
-    void report_delivered(Context& ctx, ProcessId leader) const;
-    // Leader round: folds our own watermark, raises the floor and
-    // announces it — every round, not only on change, so a member that
-    // missed an announcement (partition, snapshot heal, recovery) learns
-    // it on the next one.
-    void lead_gc_round(Context& ctx);
+    // Member side: reports the watermark and the consensus log's
+    // `applied_upto` (0 without one) to `leader` (not to ourselves).
+    void report_delivered(Context& ctx, ProcessId leader,
+                          std::uint64_t applied_upto = 0) const;
+    // Leader round: folds our own report, raises the floor and announces
+    // both floors and our `applied_upto` — every round, not only on
+    // change, so a member that missed an announcement (partition, snapshot
+    // heal, recovery) learns it on the next one. Returns the applied floor.
+    std::uint64_t lead_gc_round(Context& ctx, std::uint64_t applied_upto = 0);
+    // Reports younger than this count towards the applied floor.
+    Duration gc_fresh_window() const { return 3 * cfg_.gc_interval; }
     // Member side: an announced floor, capped by our own watermark.
     void note_prune(const GcPruneMsg& m) {
         raise_gc_floor(std::min(m.floor, max_delivered_gts_));

@@ -17,8 +17,10 @@ enum class MsgType : std::uint8_t {
     p2b = 3,
     chosen = 4,
     nack = 5,
-    gc_status = 6,         // member -> leader: apply progress
-    gc_prune = 7,          // leader -> group: group-wide applied floor
+    // 6 and 7 are retired (the engine's own GC status/prune pair; applied
+    // progress now rides the host's GC exchange, multicast/gc_floor.hpp).
+    // They stay reserved: never renumber or reuse them. An envelope of
+    // either type is consumed and ignored.
     catchup_request = 8,   // lagging member -> up-to-date peer
     catchup_snapshot = 9,  // peer -> lagging member: state and/or log suffix
 };
@@ -107,7 +109,7 @@ struct P1bMsg {
     std::vector<AcceptedEntry> accepted;  // accepted but possibly unchosen
     std::vector<ChosenEntry> known_chosen;
     // Slots at-or-below this were pruned from this acceptor's chosen log
-    // (GC floor protocol): the candidate cannot learn them slot-by-slot and
+    // (below the host-set applied floor): the candidate cannot learn them slot-by-slot and
     // must not fill them with no-ops — it catches up via snapshot instead.
     std::uint64_t pruned_upto = 0;
 
@@ -189,40 +191,7 @@ struct NackMsg {
     }
 };
 
-// --- log retention (GC floor protocol, mirrors wbcast Gc*Msg) ---------------
-
-// Member -> leader: how far this member has applied the log. The leader
-// folds these into a group-wide floor; slots at-or-below the floor were
-// applied by a quorum and can be erased from every chosen log.
-struct GcStatusMsg {
-    std::uint64_t applied_upto = 0;
-
-    void encode(codec::Writer& w) const { codec::write_field(w, applied_upto); }
-    static GcStatusMsg decode(codec::Reader& r) {
-        GcStatusMsg m;
-        codec::read_field(r, m.applied_upto);
-        return m;
-    }
-};
-
-// Leader -> group. `applied_upto` is the leader's own progress: a member
-// that fell behind it (lost CHOSEN traffic, healed partition) learns here
-// that a peer has state to offer and requests catch-up.
-struct GcPruneMsg {
-    std::uint64_t floor = 0;
-    std::uint64_t applied_upto = 0;
-
-    void encode(codec::Writer& w) const {
-        codec::write_field(w, floor);
-        codec::write_field(w, applied_upto);
-    }
-    static GcPruneMsg decode(codec::Reader& r) {
-        GcPruneMsg m;
-        codec::read_field(r, m.floor);
-        codec::read_field(r, m.applied_upto);
-        return m;
-    }
-};
+// --- catch-up ---------------------------------------------------------------
 
 // Lagging member -> up-to-date peer: "I have applied up to `applied_upto`;
 // send me what I am missing." `mark` is opaque host metadata (MarkFn) the

@@ -83,12 +83,6 @@ bool MultiPaxos::handle_message(Context& ctx, ProcessId from,
         case MsgType::p2b: handle_p2b(ctx, from, P2bMsg::decode(env.body)); break;
         case MsgType::chosen: handle_chosen(ctx, ChosenMsg::decode(env.body)); break;
         case MsgType::nack: handle_nack(NackMsg::decode(env.body)); break;
-        case MsgType::gc_status:
-            handle_gc_status(ctx, from, GcStatusMsg::decode(env.body));
-            break;
-        case MsgType::gc_prune:
-            handle_gc_prune(ctx, from, GcPruneMsg::decode(env.body));
-            break;
         case MsgType::catchup_request:
             handle_catchup_request(ctx, from, CatchupRequestMsg::decode(env.body));
             break;
@@ -184,9 +178,9 @@ void MultiPaxos::finish_phase1(Context& ctx) {
         propose_at(ctx, slot, it != adopt.end() ? it->second.second : Command{});
     }
     if (base > applied_upto_ && snap_peer != invalid_process) {
-        // Remember the floor so on_gc_tick keeps retrying if this request
+        // Remember the floor so the host keeps retrying if this request
         // (or its reply) is lost; applies stall until the snapshot lands.
-        gc_floor_ = std::max(gc_floor_, base);
+        prune_floor_ = std::max(prune_floor_, base);
         request_catchup(ctx, snap_peer);
     }
     // Drain commands queued while phase 1 was running.
@@ -303,6 +297,7 @@ void MultiPaxos::mark_chosen(Context& ctx, std::uint64_t slot, Command cmd,
 }
 
 void MultiPaxos::apply_ready(Context& ctx) {
+    const std::uint64_t applied_before = applied_upto_;
     for (auto it = chosen_.find(applied_upto_ + 1); it != chosen_.end();
          it = chosen_.find(applied_upto_ + 1)) {
         ++applied_upto_;
@@ -315,6 +310,8 @@ void MultiPaxos::apply_ready(Context& ctx) {
     // settled (recorded or lost to a leader change) — keep the map bounded.
     submitted_at_.erase(submitted_at_.begin(),
                         submitted_at_.upper_bound(applied_upto_));
+    prune(prune_floor_,
+          prune_steps_per_apply * (applied_upto_ - applied_before));
 }
 
 void MultiPaxos::handle_nack(const NackMsg& m) {
@@ -331,98 +328,25 @@ void MultiPaxos::handle_nack(const NackMsg& m) {
 
 // --- log retention & floor-based catch-up -----------------------------------
 
-void MultiPaxos::prune_chosen(std::uint64_t floor) {
+void MultiPaxos::prune(std::uint64_t floor, std::uint64_t budget) {
     // Never prune past our own apply point: entries in (applied_upto_,
     // floor] are choices we still have to apply in slot order.
-    const std::uint64_t upto = std::min(floor, applied_upto_);
+    std::uint64_t upto = std::min(floor, applied_upto_);
     if (upto <= pruned_upto_) return;
+    if (upto - pruned_upto_ > budget) upto = pruned_upto_ + budget;
     chosen_.erase(chosen_.begin(), chosen_.upper_bound(upto));
     accepted_.erase(accepted_.begin(), accepted_.upper_bound(upto));
     inflight_.erase(inflight_.begin(), inflight_.upper_bound(upto));
     pruned_upto_ = upto;
 }
 
-void MultiPaxos::on_gc_tick(Context& ctx) {
-    if (!cfg_.gc_enabled) return;
-    if (gc_floor_ > applied_upto_) {
-        // Still behind a floor we have learned about (healed member, or a
-        // new leader whose phase 1 revealed a pruned prefix): keep asking
-        // until healed — the earlier request or its reply may have been
-        // lost, or the asked peer declined (it may itself hold only a
-        // stripped snapshot). Ask the peer with the deepest *fresh* report
-        // (a stale report may name a dead ex-leader) AND the leader hint,
-        // so one unresponsive or unservable peer cannot starve us.
-        const ProcessId hint = leading_ ? invalid_process : promised_.leader();
-        ProcessId deepest = invalid_process;
-        std::uint64_t best = 0;
-        for (const auto& [p, rep] : gc_reports_) {
-            if (p == self_ || rep.applied <= best) continue;
-            if (ctx.now() - rep.at > 3 * cfg_.gc_interval) continue;
-            best = rep.applied;
-            deepest = p;
-        }
-        request_catchup(ctx, deepest);
-        if (hint != deepest) request_catchup(ctx, hint);
-    }
-    if (!leading_) {
-        // Report progress to the leader. A member that has applied nothing
-        // stays silent: idle clusters then produce zero GC traffic, and
-        // the quorum floor deliberately advances without it — a freshly
-        // (re)started member is treated as lagging and catches up via
-        // snapshot rather than pinning retention at slot 0.
-        if (applied_upto_ == 0) return;
-        const ProcessId leader = promised_.leader();
-        if (leader == invalid_process || leader == self_) return;
-        ctx.send(leader,
-                 codec::encode_envelope(mod, type_of(MsgType::gc_status),
-                                        invalid_msg,
-                                        GcStatusMsg{applied_upto_}));
-        return;
-    }
-    // Leader: fold in our own progress and compute the floor over fresh
-    // reports. Requiring only a quorum (not every member) keeps retention
-    // bounded while a member is down — that member catches up via snapshot
-    // when it returns. Staleness keeps a silent member from pinning the
-    // floor through its last report forever.
-    gc_reports_[self_] = GcReport{applied_upto_, ctx.now()};
-    const Duration fresh_window = 3 * cfg_.gc_interval;
-    std::size_t fresh = 0;
-    std::uint64_t floor = 0;
-    bool first = true;
-    for (const auto& [p, rep] : gc_reports_) {
-        if (ctx.now() - rep.at > fresh_window) continue;
-        ++fresh;
-        floor = first ? rep.applied : std::min(floor, rep.applied);
-        first = false;
-    }
-    if (fresh < quorum_) return;
-    gc_floor_ = std::max(gc_floor_, floor);
-    if (gc_floor_ == 0) return;  // nothing applied anywhere yet
-    prune_chosen(gc_floor_);
-    // Announce every round, not only on change: a member that healed after
-    // missing earlier announcements learns here that it is behind the
-    // floor (or merely behind our apply point) and requests catch-up.
-    const Buffer wire = codec::encode_envelope(
-        mod, type_of(MsgType::gc_prune), invalid_msg,
-        GcPruneMsg{gc_floor_, applied_upto_});
-    for (const ProcessId p : members_)
-        if (p != self_) ctx.send(p, wire);
-}
-
-void MultiPaxos::handle_gc_status(Context& ctx, ProcessId from,
-                                  const GcStatusMsg& m) {
-    auto& rep = gc_reports_[from];
-    rep.applied = std::max(rep.applied, m.applied_upto);
-    rep.at = ctx.now();
-}
-
-void MultiPaxos::handle_gc_prune(Context& ctx, ProcessId from,
-                                 const GcPruneMsg& m) {
-    gc_floor_ = std::max(gc_floor_, m.floor);
-    prune_chosen(gc_floor_);
-    // Behind the announcing leader (healed partition, lost CHOSEN traffic):
-    // ask it for the missing suffix — or, below the floor, its state.
-    if (m.applied_upto > applied_upto_) request_catchup(ctx, from);
+void MultiPaxos::set_prune_floor(std::uint64_t floor) {
+    // The previous floor had a whole round of applies to pay it off; what
+    // is left (the load went idle) goes now. Not the fresh floor: a
+    // group's GC rounds reach every member within a few ms, and erasing a
+    // round's worth of slots here would stall each of them in turn.
+    prune(prune_floor_, UINT64_MAX);
+    prune_floor_ = std::max(prune_floor_, floor);
 }
 
 void MultiPaxos::request_catchup(Context& ctx, ProcessId peer) {
@@ -478,10 +402,7 @@ void MultiPaxos::handle_catchup_snapshot(Context& ctx,
                              wal::encode_snapshot_meta(m.snap_upto), m.state);
         applied_upto_ = m.snap_upto;
         // Everything at-or-below the snapshot point is superseded by it.
-        chosen_.erase(chosen_.begin(), chosen_.upper_bound(m.snap_upto));
-        accepted_.erase(accepted_.begin(), accepted_.upper_bound(m.snap_upto));
-        inflight_.erase(inflight_.begin(), inflight_.upper_bound(m.snap_upto));
-        pruned_upto_ = std::max(pruned_upto_, m.snap_upto);
+        prune(m.snap_upto, UINT64_MAX);
         next_slot_ = std::max(next_slot_, applied_upto_ + 1);
         log::info("paxos p", self_, " installed snapshot upto ", m.snap_upto);
     }
@@ -525,9 +446,7 @@ void MultiPaxos::restore_snapshot(Context& ctx, std::uint64_t snap_upto,
     WBAM_ASSERT_MSG(install_, "wal snapshot replay without InstallFn");
     install_(ctx, state);
     applied_upto_ = snap_upto;
-    chosen_.erase(chosen_.begin(), chosen_.upper_bound(snap_upto));
-    accepted_.erase(accepted_.begin(), accepted_.upper_bound(snap_upto));
-    pruned_upto_ = std::max(pruned_upto_, snap_upto);
+    prune(snap_upto, UINT64_MAX);
     next_slot_ = std::max(next_slot_, applied_upto_ + 1);
 }
 

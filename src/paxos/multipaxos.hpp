@@ -28,13 +28,6 @@ struct PaxosConfig {
     // CPU work the proposer performs per command driven through the engine
     // (benchmark cost model; zero in tests).
     Duration cmd_cost = 0;
-    // Log retention (GC floor protocol): members report applied progress,
-    // the leader prunes the chosen log below the group-wide floor, and
-    // members that fell behind the floor catch up via state snapshot.
-    // Off by default for raw engine users; the host must drive on_gc_tick
-    // and provide state handlers (set_state_handlers) when enabling.
-    bool gc_enabled = false;
-    Duration gc_interval = milliseconds(250);
     // Durability (last field: hosts initialise this struct with designated
     // initialisers in declaration order). When set, the engine appends its
     // acceptor/learner transitions — promised ballots, accepted and chosen
@@ -70,8 +63,8 @@ public:
     MultiPaxos(std::vector<ProcessId> members, int quorum, ApplyFn apply,
                PaxosConfig cfg = {});
 
-    // Required when cfg.gc_enabled: without state handlers a member below
-    // the pruned floor could never rejoin.
+    // Required once the host sets a prune floor (set_prune_floor): without
+    // state handlers a member below the pruned floor could never rejoin.
     void set_state_handlers(SnapshotFn snapshot, InstallFn install,
                             MarkFn mark = {});
 
@@ -93,11 +86,16 @@ public:
     // Periodic retransmission (in-flight proposals, stalled phase 1).
     void on_tick(Context& ctx);
 
-    // Periodic retention round (no-op unless cfg.gc_enabled): followers
-    // report applied progress, the leader computes the group-wide floor
-    // over fresh reports from a quorum, prunes, and announces the floor.
-    // Hosts drive this from their own GC timer.
-    void on_gc_tick(Context& ctx);
+    // Log retention, driven by the host's GC exchange. `floor` is the
+    // group's applied floor (slots a quorum applied). apply_ready erases
+    // the log below it, at most prune_steps_per_apply slots per slot
+    // applied; the next floor first pays what is left of the previous one
+    // (the load went idle), never the fresh floor itself.
+    void set_prune_floor(std::uint64_t floor);
+    // Asks `peer` for what this member misses (throttled per peer): for a
+    // member behind prune_floor(), or behind the announcing leader.
+    void request_catchup(Context& ctx, ProcessId peer);
+    static constexpr std::uint64_t prune_steps_per_apply = 2;
 
     // -- WAL replay (boot-time restore; see ReplicaConfig::wal). Call order:
     // start(ctx), begin_restore(), one restore_* per log record in log
@@ -126,8 +124,9 @@ public:
     std::uint64_t chosen_count() const { return chosen_.size(); }
     // Slots at-or-below this were erased from the chosen log.
     std::uint64_t pruned_upto() const { return pruned_upto_; }
-    // Highest group-wide applied floor this member has learned.
-    std::uint64_t gc_floor() const { return gc_floor_; }
+    // Highest group-wide applied floor this member has learned (from its
+    // host, or from a phase-1 quorum's pruned floors).
+    std::uint64_t prune_floor() const { return prune_floor_; }
 
 private:
     struct InFlight {
@@ -150,14 +149,12 @@ private:
     void handle_nack(const NackMsg& m);
 
     // -- retention & catch-up
-    void handle_gc_status(Context& ctx, ProcessId from, const GcStatusMsg& m);
-    void handle_gc_prune(Context& ctx, ProcessId from, const GcPruneMsg& m);
     void handle_catchup_request(Context& ctx, ProcessId from,
                                 const CatchupRequestMsg& m);
     void handle_catchup_snapshot(Context& ctx, const CatchupSnapshotMsg& m);
-    // Erases chosen/acceptor entries at-or-below min(floor, applied_upto_).
-    void prune_chosen(std::uint64_t floor);
-    void request_catchup(Context& ctx, ProcessId peer);
+    // Erases chosen/acceptor slots at-or-below min(floor, applied_upto_),
+    // at most `budget` slots of them.
+    void prune(std::uint64_t floor, std::uint64_t budget);
 
     std::vector<ProcessId> members_;
     std::size_t quorum_;
@@ -173,19 +170,14 @@ private:
     std::map<std::uint64_t, std::pair<Ballot, Command>> accepted_;
 
     // learner state. chosen_ holds slots in (pruned_upto_, ...]; entries
-    // at-or-below the group-wide applied floor are erased by the GC rounds,
+    // at-or-below the group-wide applied floor are erased as slots apply,
     // so the log's entry count stays O(slots chosen per GC window).
     std::map<std::uint64_t, Command> chosen_;
     std::uint64_t applied_upto_ = 0;  // slots start at 1
     std::uint64_t pruned_upto_ = 0;
 
     // retention state
-    struct GcReport {
-        std::uint64_t applied = 0;
-        TimePoint at = 0;
-    };
-    std::map<ProcessId, GcReport> gc_reports_;  // leader-side progress view
-    std::uint64_t gc_floor_ = 0;
+    std::uint64_t prune_floor_ = 0;
     // Per-peer throttle: a request to an unresponsive peer must not mute
     // requests to a live one.
     std::map<ProcessId, TimePoint> catchup_requested_;

@@ -10,7 +10,9 @@
 //  * the application log: entries, the two timestamp indexes and the
 //    clock, which apply() mutates on every member alike;
 //  * the delivered-floor compaction of that log, and the catch-up
-//    snapshot of it (state_snapshot / can_serve_snapshot / install_state).
+//    snapshot of it (state_snapshot / can_serve_snapshot / install_state);
+//  * the consensus log's retention on the same GC exchange: the announced
+//    applied floor, and catch-up for a member behind it.
 //
 // A row supplies the hooks below: apply() for its replicated commands,
 // its MULTICAST and inter-group messages, the leader's tick, and a reset
@@ -152,8 +154,6 @@ RsmReplica<Ext>::RsmReplica(const char* row, GcTags gc, const Topology& topo,
              },
              PaxosConfig{.retry_interval = cfg.retry_interval,
                          .cmd_cost = cfg.consensus_cmd_cost,
-                         .gc_enabled = cfg.gc_enabled,
-                         .gc_interval = cfg.gc_interval,
                          .wal = cfg.wal}),
       elector_(topo.members_leader_first(g0_),
                elect::ElectorConfig{cfg.election_enabled,
@@ -268,11 +268,17 @@ void RsmReplica<Ext>::dispatch_message(Context& ctx, ProcessId from,
         const auto m = ::wbam::GcStatusMsg::decode(env.body);
         // A report reaching a non-leader is stale: the reporter re-aims.
         if (paxos_.is_leader())
-            delivered_floor_.note(from, m.max_delivered_gts);
+            delivered_floor_.note(from, m.max_delivered_gts, m.applied_upto,
+                                  ctx.now());
         return;
     }
     if (env.type == gc_tags_.prune) {
-        note_prune(::wbam::GcPruneMsg::decode(env.body));
+        const auto m = ::wbam::GcPruneMsg::decode(env.body);
+        note_prune(m);
+        paxos_.set_prune_floor(m.applied_floor);
+        // Behind the announcing leader (lost CHOSEN traffic): ask it.
+        if (m.applied_upto > paxos_.applied_upto())
+            paxos_.request_catchup(ctx, from);
         return;
     }
     handle_proto(ctx, from, env);
@@ -293,18 +299,31 @@ void RsmReplica<Ext>::dispatch_timer(Context& ctx, TimerId id) {
     if (paxos_.is_leader()) lead_tick(ctx);
 }
 
-// --- application-log retention (the delivered floor) -------------------------
+// --- retention: the delivered floor and the applied floor --------------------
 
 template <class Ext>
 void RsmReplica<Ext>::gc_round(Context& ctx) {
-    paxos_.on_gc_tick(ctx);
+    const std::uint64_t applied = paxos_.applied_upto();
+    if (paxos_.prune_floor() > applied) {
+        // Behind a floor we learned (healed member, or a new leader whose
+        // phase 1 revealed a pruned prefix): ask every round until healed,
+        // both the deepest fresh reporter and the leader hint, so one lost
+        // request or unservable peer cannot starve us.
+        const ProcessId deepest =
+            delivered_floor_.deepest(pid_, ctx.now(), gc_fresh_window());
+        paxos_.request_catchup(ctx, deepest);
+        if (!paxos_.is_leader() && paxos_.leader_hint() != deepest)
+            paxos_.request_catchup(ctx, paxos_.leader_hint());
+    }
     if (paxos_.is_leader()) {
-        lead_gc_round(ctx);
+        paxos_.set_prune_floor(lead_gc_round(ctx, applied));
         return;
     }
-    // Idle members stay silent: nothing delivered means nothing to prune.
-    if (max_delivered_gts_ == bottom_ts) return;
-    report_delivered(ctx, paxos_.leader_hint());
+    // Idle members stay silent: nothing delivered or applied means
+    // nothing to prune. The applied floor advances without them; a blank
+    // (re)started member catches up by snapshot.
+    if (max_delivered_gts_ == bottom_ts && applied == 0) return;
+    report_delivered(ctx, paxos_.leader_hint(), applied);
 }
 
 template <class Ext>

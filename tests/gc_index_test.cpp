@@ -8,8 +8,9 @@
 // replica must hold nothing but stubs (every entry was delivered by the
 // whole group, so every entry is at or below the group floor). Also here:
 // compaction is spread over deliveries (no handler call compacts a whole
-// round), and wbcast logs one floor record per raise, not one stub record
-// per entry.
+// round), so is the consensus-log prune of ftskeen and fastcast (no
+// handler call prunes a whole round of slots), and wbcast logs one floor
+// record per raise, not one stub record per entry.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -498,6 +499,131 @@ TEST(GcIndexWbcastTest, WalLogsFloorsNotStubs) {
     EXPECT_EQ(after.entry_count(), entries);
     EXPECT_EQ(after.compacted_count(), entries);
 }
+
+// --- consensus-log prune spread over applies ---------------------------------
+
+// The replica's consensus engine (ftskeen, fastcast), or nullptr.
+const paxos::MultiPaxos* engine_of(Process* p) {
+    for (; p != nullptr; p = p->wrapped()) {
+        if (auto* r = dynamic_cast<ftskeen::FtSkeenReplica*>(p))
+            return &r->paxos();
+        if (auto* r = dynamic_cast<fastcast::FastCastReplica*>(p))
+            return &r->paxos();
+    }
+    return nullptr;
+}
+
+struct PruneLedger {
+    TimePoint until = 0;  // calls starting before this are watched
+    std::size_t pruning_calls = 0;
+    std::size_t over_budget = 0;
+    std::string first_over;
+};
+
+// Wraps one replica and reads its engine's pruned_upto() and
+// applied_upto() around every handler call: a call may prune at most
+// MultiPaxos::prune_steps_per_apply slots for each slot it applied.
+class PruneWatch final : public Process {
+public:
+    PruneWatch(ProcessId self, std::unique_ptr<Process> inner,
+               PruneLedger& ledger)
+        : self_(self), inner_(std::move(inner)), ledger_(ledger),
+          engine_(engine_of(inner_.get())) {}
+
+    void on_start(Context& ctx) override { inner_->on_start(ctx); }
+    void on_message(Context& ctx, ProcessId from,
+                    const BufferSlice& bytes) override {
+        watch(ctx, "message", [&] { inner_->on_message(ctx, from, bytes); });
+    }
+    void on_timer(Context& ctx, TimerId id) override {
+        watch(ctx, "timer", [&] { inner_->on_timer(ctx, id); });
+    }
+    Process* wrapped() override { return inner_.get(); }
+
+private:
+    template <class Call>
+    void watch(Context& ctx, const char* kind, Call&& call) {
+        const bool on = ctx.now() < ledger_.until;
+        const std::uint64_t pruned0 = engine_->pruned_upto();
+        const std::uint64_t applied0 = engine_->applied_upto();
+        call();
+        if (!on || engine_->pruned_upto() <= pruned0) return;
+        const std::uint64_t pruned = engine_->pruned_upto() - pruned0;
+        const std::uint64_t applied = engine_->applied_upto() - applied0;
+        ++ledger_.pruning_calls;
+        if (pruned <= paxos::MultiPaxos::prune_steps_per_apply * applied)
+            return;
+        if (ledger_.over_budget++ == 0)
+            ledger_.first_over = "p" + std::to_string(self_) + "'s " + kind +
+                                 " call at " + std::to_string(ctx.now()) +
+                                 " ns pruned " + std::to_string(pruned) +
+                                 " slots and applied " +
+                                 std::to_string(applied);
+    }
+
+    ProcessId self_;
+    std::unique_ptr<Process> inner_;
+    PruneLedger& ledger_;
+    const paxos::MultiPaxos* engine_;
+};
+
+class GcPruneTest : public ::testing::TestWithParam<ProtocolKind> {};
+
+// A few thousand multicasts under GC: while load flows, no handler call
+// prunes more than the per-apply constant per slot it applies (a GC round
+// and its announce only set the applied floor). Once load stops, the next
+// floor pays off the rest: within two GC intervals every member has
+// pruned up to the applied floor the group had reached when load
+// stopped, and a few intervals later every log is pruned to its apply
+// point.
+TEST_P(GcPruneTest, NoHandlerPrunesAWholeRound) {
+    const ProtocolKind kind = GetParam();
+    ClusterConfig cfg = index_config(kind, 11);
+    cfg.trace_sends = false;
+    const TimePoint load_end = milliseconds(1000);
+    PruneLedger ledger;
+    ledger.until = load_end;
+    cfg.wrap_replica = [&ledger](ProcessId p, std::unique_ptr<Process> r) {
+        return std::make_unique<PruneWatch>(p, std::move(r), ledger);
+    };
+    Cluster c(cfg);
+    const auto engine = [&c](ProcessId p) {
+        return engine_of(&c.world().process(p));
+    };
+    traffic(c, milliseconds(2), load_end, microseconds(250));
+    std::map<GroupId, std::uint64_t> floor_at_end;
+    c.world().at(load_end, [&] {
+        for (const GroupId g : c.topo().all_groups())
+            for (const ProcessId p : c.topo().members(g))
+                floor_at_end[g] =
+                    std::max(floor_at_end[g], engine(p)->prune_floor());
+    });
+    c.run_until(load_end + 2 * cfg.replica.gc_interval);
+    for (const GroupId g : c.topo().all_groups()) {
+        EXPECT_GT(floor_at_end[g], 0u) << "group " << g;
+        for (const ProcessId p : c.topo().members(g))
+            EXPECT_GE(engine(p)->pruned_upto(), floor_at_end[g])
+                << "replica " << p;
+    }
+    EXPECT_GT(ledger.pruning_calls, 1000u);
+    EXPECT_EQ(ledger.over_budget, 0u) << ledger.first_over;
+
+    c.run_until(load_end + 6 * cfg.replica.gc_interval);
+    const auto result = c.check();
+    EXPECT_TRUE(result.ok()) << result.summary();
+    EXPECT_EQ(c.log().completed_count(), c.log().multicasts().size());
+    EXPECT_GE(c.log().multicasts().size(), 3900u);
+    for (ProcessId p = 0; p < c.topo().num_replicas(); ++p) {
+        EXPECT_EQ(engine(p)->pruned_upto(), engine(p)->applied_upto())
+            << "replica " << p;
+        EXPECT_EQ(engine(p)->chosen_count(), 0u) << "replica " << p;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(ConsensusRows, GcPruneTest,
+                         ::testing::Values(ProtocolKind::ftskeen,
+                                           ProtocolKind::fastcast),
+                         [](const auto& info) { return row_name(info.param); });
 
 class GcIndexSnapshotTest : public ::testing::TestWithParam<ProtocolKind> {};
 

@@ -1,7 +1,8 @@
 // Fault-injection and boundedness tests for consensus-log retention: the
-// paxos GC floor protocol (members report applied progress, the leader
-// prunes the chosen log below the group-wide floor) and the floor-aware
-// catch-up path (a member that fell behind the floor installs a peer's
+// applied floor (members report applied progress on the scaffold's GC
+// exchange, the leader folds it over a fresh quorum, and every member's
+// engine prunes its chosen log below it) and the floor-aware catch-up
+// path (a member that fell behind the floor installs a peer's
 // state snapshot and resumes in the agreed order). Partitions use the
 // simulator's lossy sever_link primitive — held-and-released block_link
 // traffic would let a member catch up slot-by-slot and never exercise the
@@ -286,8 +287,9 @@ TEST(RetentionTest, FastcastAppLogDropsToStubsBelowDeliveryFloor) {
                                                      31);
 }
 
-// The app-log GC plane must stay silent on an idle cluster, like the paxos
-// floor protocol and wbcast's GC.
+// The GC plane must stay silent on an idle cluster, like wbcast's GC:
+// nothing delivered or applied means no reports, no announcements and no
+// catch-up requests.
 TEST(RetentionTest, IdleAppGcSendsNoTraffic) {
     const struct {
         ProtocolKind kind;
@@ -309,6 +311,7 @@ TEST(RetentionTest, IdleAppGcSendsNoTraffic) {
                   0u);
         EXPECT_EQ(count_records(trace, codec::Module::proto, cs.prune_type),
                   0u);
+        EXPECT_EQ(count_paxos(trace, paxos::MsgType::catchup_request), 0u);
     }
 }
 
@@ -391,31 +394,24 @@ TEST(RetentionTest, IdleWbcastClusterSendsNoGcTraffic) {
               0u);
 }
 
-// The paxos floor protocol starts out with the same property: nothing
-// applied means no status reports and no prune announcements.
-TEST(RetentionTest, IdlePaxosClusterSendsNoGcTraffic) {
-    for (const ProtocolKind kind :
-         {ProtocolKind::ftskeen, ProtocolKind::fastcast}) {
-        Cluster c(retention_config(kind, 2, 0, 17));
-        c.run_for(milliseconds(1000));
-        const auto& trace = c.world().send_trace();
-        EXPECT_EQ(count_paxos(trace, paxos::MsgType::gc_status), 0u);
-        EXPECT_EQ(count_paxos(trace, paxos::MsgType::gc_prune), 0u);
-        EXPECT_EQ(count_paxos(trace, paxos::MsgType::catchup_request), 0u);
-    }
-}
-
 // --- raw engine: prune + snapshot catch-up without a protocol on top ---------
 
 // Minimal host whose replicated state is the applied command history;
-// snapshots ship it verbatim. Exercises MultiPaxos retention in isolation.
+// snapshots ship it verbatim. It drives MultiPaxos retention the way
+// RsmReplica does, over the scaffold's GC bodies (multicast/gc_floor.hpp):
+// members report applied_upto to the leader, the leader folds the applied
+// floor in a DeliveredFloor, sets it on its engine and announces it with
+// its own applied_upto, and a member behind either asks for catch-up.
 class GcPaxosHost final : public Process {
 public:
-    GcPaxosHost(std::vector<ProcessId> members, int quorum) {
+    static constexpr std::uint8_t status_type = 0;
+    static constexpr std::uint8_t prune_type = 1;
+
+    GcPaxosHost(std::vector<ProcessId> members, int quorum)
+        : members_(members),
+          reports_(members, static_cast<std::size_t>(quorum)) {
         paxos::PaxosConfig cfg;
         cfg.retry_interval = milliseconds(25);
-        cfg.gc_enabled = true;
-        cfg.gc_interval = gc_every;
         engine = std::make_unique<paxos::MultiPaxos>(
             std::move(members), quorum,
             [this](Context&, std::uint64_t slot, const paxos::Command& cmd) {
@@ -443,7 +439,17 @@ public:
     }
     void on_message(Context& c, ProcessId from, const BufferSlice& bytes) override {
         codec::EnvelopeView env(bytes);
-        engine->handle_message(c, from, env);
+        if (engine->handle_message(c, from, env)) return;
+        if (env.type == status_type) {
+            const auto m = GcStatusMsg::decode(env.body);
+            if (engine->is_leader())
+                reports_.note(from, bottom_ts, m.applied_upto, c.now());
+        } else if (env.type == prune_type) {
+            const auto m = GcPruneMsg::decode(env.body);
+            engine->set_prune_floor(m.applied_floor);
+            if (m.applied_upto > engine->applied_upto())
+                engine->request_catchup(c, from);
+        }
     }
     void on_timer(Context& c, TimerId id) override {
         if (id == tick) {
@@ -451,7 +457,7 @@ public:
             engine->on_tick(c);
         } else if (id == gc) {
             gc = c.set_timer(gc_every);
-            engine->on_gc_tick(c);
+            gc_round(c);
         }
     }
 
@@ -460,6 +466,38 @@ public:
     Context* ctx = nullptr;
     TimerId tick = invalid_timer;
     TimerId gc = invalid_timer;
+
+private:
+    void gc_round(Context& c) {
+        const Duration fresh = 3 * gc_every;
+        const std::uint64_t upto = engine->applied_upto();
+        if (engine->prune_floor() > upto) {
+            const ProcessId deepest = reports_.deepest(c.self(), c.now(), fresh);
+            engine->request_catchup(c, deepest);
+            if (!engine->is_leader() && engine->leader_hint() != deepest)
+                engine->request_catchup(c, engine->leader_hint());
+        }
+        if (!engine->is_leader()) {
+            if (upto > 0)
+                c.send(engine->leader_hint(),
+                       codec::encode_envelope(codec::Module::proto, status_type,
+                                              invalid_msg,
+                                              GcStatusMsg{bottom_ts, upto}));
+            return;
+        }
+        reports_.note(c.self(), bottom_ts, upto, c.now());
+        const std::uint64_t floor = reports_.applied_floor(c.now(), fresh);
+        engine->set_prune_floor(floor);
+        if (floor == 0) return;
+        const Buffer wire = codec::encode_envelope(
+            codec::Module::proto, prune_type, invalid_msg,
+            GcPruneMsg{bottom_ts, floor, upto});
+        for (const ProcessId p : members_)
+            if (p != c.self()) c.send(p, wire);
+    }
+
+    std::vector<ProcessId> members_;
+    DeliveredFloor reports_;
 };
 
 TEST(RetentionTest, RawEngineSnapshotHealsSeveredMember) {
@@ -506,52 +544,67 @@ TEST(RetentionTest, RawEngineSnapshotHealsSeveredMember) {
 // A quorum loss (no fresh reports from enough members) must stall the
 // floor, not regress it, and traffic resumed after heal prunes again.
 TEST(RetentionTest, FloorStallsWithoutQuorumOfFreshReports) {
-    const int n = 3;
-    sim::World world(Topology(1, n, 0),
-                     std::make_unique<sim::UniformDelay>(delta), 23);
-    std::vector<GcPaxosHost*> hosts;
-    std::vector<ProcessId> members{0, 1, 2};
-    for (ProcessId p = 0; p < n; ++p) {
-        auto host = std::make_unique<GcPaxosHost>(members, 2);
-        hosts.push_back(host.get());
-        world.add_process(p, std::move(host));
-    }
-    world.start();
-    for (int i = 0; i < 10; ++i) {
-        world.at(milliseconds(5) + i * milliseconds(10), [&hosts, i] {
-            hosts[0]->engine->submit(
-                *hosts[0]->ctx,
-                paxos::Command{static_cast<MsgId>(i + 1),
-                               Bytes{static_cast<std::uint8_t>(i)}});
-        });
-    }
-    world.run_for(milliseconds(300));
-    const std::uint64_t floor_before = hosts[0]->engine->gc_floor();
-    EXPECT_GT(floor_before, 0u);
+    Cluster c(retention_config(ProtocolKind::ftskeen, 1, 1, 23));
+    const auto pruned = [&c] {
+        return paxos_of(c, ProtocolKind::ftskeen, 0)->pruned_upto();
+    };
+    for (int i = 0; i < 10; ++i)
+        c.multicast_at(milliseconds(5) + i * milliseconds(10), 0, {0});
+    c.run_for(milliseconds(300));
+    const std::uint64_t pruned_before = pruned();
+    EXPECT_GT(pruned_before, 0u);
     // Cut the leader off from both followers: reports go stale, so the
     // floor must freeze even as the leader keeps ticking.
-    world.at(world.now() + milliseconds(1), [&world] {
-        world.sever_link(0, 1);
-        world.sever_link(0, 2);
+    c.world().at(c.world().now() + milliseconds(1), [&c] {
+        c.world().sever_link(0, 1);
+        c.world().sever_link(0, 2);
     });
-    world.run_for(milliseconds(400));
-    EXPECT_EQ(hosts[0]->engine->gc_floor(), floor_before);
-    world.at(world.now() + milliseconds(1), [&world] {
-        world.restore_link(0, 1);
-        world.restore_link(0, 2);
+    c.run_for(milliseconds(400));
+    EXPECT_EQ(pruned(), pruned_before);
+    c.world().at(c.world().now() + milliseconds(1), [&c] {
+        c.world().restore_link(0, 1);
+        c.world().restore_link(0, 2);
     });
-    for (int i = 0; i < 5; ++i) {
-        world.at(world.now() + milliseconds(5) + i * milliseconds(10),
-                 [&hosts, i] {
-                     hosts[0]->engine->submit(
-                         *hosts[0]->ctx,
-                         paxos::Command{static_cast<MsgId>(100 + i),
-                                        Bytes{static_cast<std::uint8_t>(i)}});
-                 });
-    }
-    world.run_for(milliseconds(400));
-    EXPECT_GT(hosts[0]->engine->gc_floor(), floor_before);
-    EXPECT_EQ(hosts[1]->applied, hosts[0]->applied);
+    for (int i = 0; i < 5; ++i)
+        c.multicast_at(c.world().now() + milliseconds(5) + i * milliseconds(10),
+                       0, {0});
+    c.run_for(milliseconds(400));
+    EXPECT_GT(pruned(), pruned_before);
+    const auto result = c.check();
+    EXPECT_TRUE(result.ok()) << result.summary();
+    EXPECT_EQ(c.log().completed_count(), 15u);
+}
+
+// The two floors over one report table, each with its own rule.
+TEST(DeliveredFloorTest, AppliedFloorNeedsAFreshQuorumDeliveredFloorAll) {
+    const Duration window = 3 * gc_every;
+    DeliveredFloor f({0, 1, 2}, 2);
+    // One member alone is no quorum; two are, and the applied floor is
+    // the minimum over them while the third has never reported.
+    f.note(0, Timestamp{10, 0}, 40, 0);
+    EXPECT_EQ(f.applied_floor(0, window), 0u);
+    f.note(1, Timestamp{8, 0}, 30, 0);
+    EXPECT_EQ(f.applied_floor(0, window), 30u);
+    // The delivered floor waits for every member, however fresh.
+    EXPECT_EQ(f.floor(), bottom_ts);
+    f.note(2, Timestamp{5, 0}, 10, milliseconds(10));
+    EXPECT_EQ(f.floor(), (Timestamp{5, 0}));
+    // A fresh low report does not pull the applied floor back.
+    EXPECT_EQ(f.applied_floor(milliseconds(10), window), 30u);
+    // Members 0 and 1 go silent: once their reports are older than the
+    // window, member 2 alone is no quorum and the floor freezes, even as
+    // member 2 advances past it.
+    f.note(2, Timestamp{50, 0}, 90, window + milliseconds(5));
+    EXPECT_EQ(f.applied_floor(window + milliseconds(5), window), 30u);
+    EXPECT_EQ(f.deepest(2, window + milliseconds(5), window), invalid_process);
+    // The delivered floor has no freshness rule: stale reports still
+    // count, and the slowest member pins it.
+    EXPECT_EQ(f.floor(), (Timestamp{8, 0}));
+    // Member 1 comes back: a fresh quorum again, and the floor moves on.
+    f.note(1, Timestamp{60, 0}, 70, window + milliseconds(6));
+    EXPECT_EQ(f.applied_floor(window + milliseconds(6), window), 70u);
+    EXPECT_EQ(f.deepest(1, window + milliseconds(6), window), 2);
+    EXPECT_EQ(f.floor(), (Timestamp{10, 0}));
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 #include "ftskeen/ftskeen.hpp"
 #include "harness/cluster.hpp"
 #include "kvstore/ops.hpp"
+#include "multicast/gc_floor.hpp"
 #include "paxos/messages.hpp"
+#include "paxos/multipaxos.hpp"
 #include "skeen/skeen.hpp"
 #include "wbcast/messages.hpp"
 
@@ -124,6 +126,102 @@ TEST(WireRoundTripTest, TruncationsRejected) {
                      codec::DecodeError)
             << "cut at " << cut;
     }
+}
+
+// Every proper prefix of a valid encoding must throw DecodeError: a cut
+// at each field boundary and inside each field.
+template <typename T>
+void expect_truncations_rejected(const T& in) {
+    const Bytes wire = codec::encode_to_bytes(in);
+    for (std::size_t cut = 0; cut < wire.size(); ++cut) {
+        Bytes prefix(wire.begin(), wire.begin() + static_cast<long>(cut));
+        EXPECT_THROW(codec::decode_from_bytes<T>(prefix), codec::DecodeError)
+            << "cut at " << cut << " of " << wire.size();
+    }
+}
+
+// The shared GC bodies (multicast/gc_floor.hpp) carry the consensus log's
+// applied progress next to the delivered floor; wbcast sends zeros there.
+TEST(WireRoundTripTest, GcBodiesWithAppliedProgress) {
+    const GcStatusMsg statuses[] = {
+        {Timestamp{100, 1}, 0},
+        {Timestamp{100, 1}, 1ull << 40},
+        {bottom_ts, 7},
+    };
+    const GcPruneMsg prunes[] = {
+        {Timestamp{90, 0}, 0, 0},
+        {Timestamp{90, 2}, 77, 1ull << 33},
+        {bottom_ts, 5, 9},
+    };
+    for (const GcStatusMsg& m : statuses) {
+        expect_roundtrip(m);
+        const auto out = codec::decode_from_bytes<GcStatusMsg>(
+            codec::encode_to_bytes(m));
+        EXPECT_EQ(out.max_delivered_gts, m.max_delivered_gts);
+        EXPECT_EQ(out.applied_upto, m.applied_upto);
+        expect_truncations_rejected(m);
+    }
+    for (const GcPruneMsg& m : prunes) {
+        expect_roundtrip(m);
+        const auto out =
+            codec::decode_from_bytes<GcPruneMsg>(codec::encode_to_bytes(m));
+        EXPECT_EQ(out.floor, m.floor);
+        EXPECT_EQ(out.applied_floor, m.applied_floor);
+        EXPECT_EQ(out.applied_upto, m.applied_upto);
+        expect_truncations_rejected(m);
+    }
+}
+
+// Collects what an engine sends; time stands still.
+class SinkContext final : public Context {
+public:
+    ProcessId self() const override { return 0; }
+    TimePoint now() const override { return milliseconds(1); }
+    void send(ProcessId, BufferSlice) override { ++sends; }
+    TimerId set_timer(Duration) override { return invalid_timer; }
+    void cancel_timer(TimerId) override {}
+    Rng& rng() override { return rng_; }
+
+    std::size_t sends = 0;
+
+private:
+    Rng rng_{1};
+};
+
+// Paxos types 6 and 7 (the engine's retired GC status/prune pair) stay
+// reserved: an envelope of either, with its old body or with junk, is
+// consumed without effect and without throwing.
+TEST(WireRoundTripTest, RetiredPaxosTypesConsumedWithoutEffect) {
+    SinkContext ctx;
+    paxos::MultiPaxos engine({0, 1, 2}, 2,
+                             [](Context&, std::uint64_t,
+                                const paxos::Command&) {});
+    engine.start(ctx);
+    for (const std::uint8_t type : {std::uint8_t{6}, std::uint8_t{7}}) {
+        // The old bodies were one or two varints; then none, then junk.
+        codec::Writer w;
+        w.varint(40);
+        w.varint(50);
+        const Bytes bodies[] = {std::move(w).take(), Bytes{}, Bytes{0xff}};
+        for (const Bytes& body : bodies) {
+            codec::Writer env;
+            env.u8(static_cast<std::uint8_t>(codec::Module::paxos));
+            env.u8(type);
+            env.varint(invalid_msg);
+            Bytes wire = std::move(env).take();
+            wire.insert(wire.end(), body.begin(), body.end());
+            codec::EnvelopeView view(wire);
+            bool consumed = false;
+            EXPECT_NO_THROW(consumed = engine.handle_message(ctx, 1, view));
+            EXPECT_TRUE(consumed) << "type " << int{type};
+        }
+    }
+    EXPECT_EQ(ctx.sends, 0u);
+    EXPECT_TRUE(engine.is_leader());
+    EXPECT_EQ(engine.prune_floor(), 0u);
+    EXPECT_EQ(engine.pruned_upto(), 0u);
+    EXPECT_EQ(engine.applied_upto(), 0u);
+    EXPECT_EQ(engine.chosen_count(), 0u);
 }
 
 // Slice fuzzing: random (including truncated and overlapping) subslices of
