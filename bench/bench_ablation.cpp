@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "harness/experiment.hpp"
+#include "bench_load.hpp"
 #include "wbcast/protocol.hpp"
 
 namespace {
@@ -73,25 +73,21 @@ void ablation_group_size() {
     std::printf("%-12s %14s %12s %12s\n", "group size", "msgs/s", "mean ms",
                 "p99 ms");
     for (const int n : {3, 5, 7}) {
-        harness::ExperimentConfig cfg;
-        cfg.kind = ProtocolKind::wbcast;
-        cfg.groups = 10;
-        cfg.group_size = n;
-        cfg.clients = 400;
-        cfg.dest_groups = 2;
-        cfg.make_delays = [] {
-            return std::make_unique<sim::JitterDelay>(microseconds(40),
-                                                      microseconds(20));
-        };
-        cfg.cpu = sim::CpuModel{.per_message = nanoseconds(300),
-                                .per_byte = nanoseconds(2),
-                                .wakeup = microseconds(3)};
-        cfg.replica = bench::base_config(ProtocolKind::wbcast, 1, 1).replica;
-        cfg.replica.wbcast_multicast_cost = microseconds(10);
-        cfg.replica.wbcast_accept_cost = nanoseconds(500);
-        cfg.target_ops = 2000;
-        cfg.max_measure = seconds(20);
-        const auto r = harness::run_experiment(cfg);
+        ctrl::CoordinatorConfig ccfg;
+        ccfg.spec = bench::sweep_spec();
+        ccfg.spec.dest_groups = 2;
+        ccfg.spec.measure = milliseconds(500);
+        // Keep housekeeping off the measured path (bench_common's knobs).
+        ccfg.spec.heartbeat_interval = milliseconds(50);
+        ccfg.spec.suspect_timeout = seconds(10);
+        ccfg.spec.retry_interval = seconds(5);
+        ccfg.shared_epoch = true;
+        // 400 drivers plus the coordinator's pid.
+        const harness::FigPoint r = bench::run_point(
+            Topology(10, n, 401), ccfg,
+            std::make_unique<sim::JitterDelay>(microseconds(40),
+                                               microseconds(20)),
+            bench::bench_cpu_model(), 1);
         std::printf("%-12d %14.0f %12.3f %12.3f\n", n, r.throughput_ops_s,
                     r.mean_ms, r.p99_ms);
     }

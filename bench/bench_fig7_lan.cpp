@@ -22,9 +22,7 @@ int main() {
     setup.client_counts = {50, 150, 400, 700, 1000, 1400};
     setup.dest_group_counts = {1, 2, 6, 10};
     setup.warmup = milliseconds(200);
-    setup.target_ops = 1500;
-    setup.min_measure = milliseconds(400);
-    setup.max_measure = seconds(20);
+    setup.measure = milliseconds(400);
     if (bench::quick_mode()) {
         setup.client_counts = {100, 1000};
         setup.dest_group_counts = {1, 6};

@@ -1,7 +1,11 @@
 // Shared load-sweep driver for the Fig. 7 (LAN) and Fig. 8 (WAN)
 // benchmarks: for each protocol and destination-group count, sweeps the
 // number of closed-loop clients and prints (clients, throughput, latency)
-// series — the same series the paper's figures plot.
+// series — the same series the paper's figures plot. Every point is one
+// run of the benchmark plane on the simulator (ctrl/sim_run.hpp): one
+// BenchDriver pid with one session per client, so each client keeps its
+// own simulated CPU, and the coordinator on one extra client pid. Latency
+// is stamped at the client when the last destination group's ack arrives.
 #ifndef WBAM_BENCH_BENCH_LOAD_HPP
 #define WBAM_BENCH_BENCH_LOAD_HPP
 
@@ -11,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "harness/experiment.hpp"
+#include "ctrl/sim_run.hpp"
 #include "harness/fig_report.hpp"
 
 namespace wbam::bench {
@@ -29,25 +33,30 @@ struct SweepSetup {
     int group_size = 3;
     bool staggered_leaders = false;
     Duration warmup = milliseconds(200);
-    std::uint64_t target_ops = 2500;
-    Duration min_measure = milliseconds(500);
-    Duration max_measure = seconds(30);
+    Duration measure = milliseconds(400);  // fixed window; halved when quick
 };
 
-inline ReplicaConfig quiet_replica_config() {
-    ReplicaConfig replica;
-    replica.heartbeat_interval = milliseconds(100);
-    replica.suspect_timeout = seconds(30);
-    replica.retry_interval = seconds(20);
-    replica.gc_interval = seconds(1);
-    // Implementation-cost model (calibration in EXPERIMENTS.md): the
-    // black-box baselines drive two consensus commands per message through
-    // a general-purpose engine; the white-box path pays only lightweight
-    // timestamp bookkeeping.
-    replica.consensus_cmd_cost = microseconds(12);
-    replica.wbcast_multicast_cost = microseconds(10);
-    replica.wbcast_accept_cost = nanoseconds(500);
-    return replica;
+// The spec every sweep point shares: failure machinery kept quiet during
+// failure-free load runs, a 2 s client retry, and the
+// implementation-cost model (calibration in EXPERIMENTS.md): the
+// black-box baselines drive two consensus commands per message through a
+// general-purpose engine; the white-box path pays only lightweight
+// timestamp bookkeeping.
+inline ctrl::BenchSpec sweep_spec() {
+    ctrl::BenchSpec spec;
+    spec.payload = 20;  // the paper uses 20-byte messages
+    spec.sessions = 1;
+    spec.client_retry = seconds(2);
+    // Divides every sweep's warmup + window, so each driver's final SAMPLE
+    // tick, and with it DRIVER_DONE, lands right after its window closes.
+    spec.sample_interval = milliseconds(100);
+    spec.heartbeat_interval = milliseconds(100);
+    spec.suspect_timeout = seconds(30);
+    spec.retry_interval = seconds(20);
+    spec.consensus_cmd_cost = microseconds(12);
+    spec.wbcast_multicast_cost = microseconds(10);
+    spec.wbcast_accept_cost = nanoseconds(500);
+    return spec;
 }
 
 inline sim::CpuModel bench_cpu_model() {
@@ -60,10 +69,20 @@ inline sim::CpuModel bench_cpu_model() {
 // on the code; the full run is the default).
 inline bool quick_mode() { return std::getenv("WBAM_BENCH_QUICK") != nullptr; }
 
-struct SweepPoint {
-    int clients = 0;
-    harness::ExperimentResult result;
-};
+// One sweep point: `clients` drivers plus the coordinator's pid. Exits the
+// process if the coordinator's validation fails.
+inline harness::FigPoint run_point(const Topology& topo,
+                                   const ctrl::CoordinatorConfig& ccfg,
+                                   std::unique_ptr<sim::DelayModel> delays,
+                                   sim::CpuModel cpu, std::uint64_t seed) {
+    const ctrl::RunResult r =
+        ctrl::run_in_sim(topo, ccfg, std::move(delays), cpu, seed);
+    if (!r.ok) {
+        std::fprintf(stderr, "sweep point failed: %s\n", r.error.c_str());
+        std::exit(1);
+    }
+    return r.point;
+}
 
 inline void run_sweep(const SweepSetup& setup) {
     using harness::ProtocolKind;
@@ -73,7 +92,7 @@ inline void run_sweep(const SweepSetup& setup) {
                 "20-byte messages, runtime=sim ===\n",
                 setup.name, setup.groups, setup.group_size);
     // protocol -> d -> points; kept for the cross-protocol summary.
-    std::map<int, std::map<int, std::vector<SweepPoint>>> all;
+    std::map<int, std::map<int, std::vector<harness::FigPoint>>> all;
     for (const ProtocolKind kind : kinds) {
         for (const int d : setup.dest_group_counts) {
             std::printf("\n-- %s, multicast to %d group(s) --\n",
@@ -81,33 +100,30 @@ inline void run_sweep(const SweepSetup& setup) {
             std::printf("%8s %16s %14s %12s %12s\n", "clients", "msgs/s",
                         "mean ms", "p50 ms", "p99 ms");
             for (const int clients : setup.client_counts) {
-                harness::ExperimentConfig cfg;
-                cfg.kind = kind;
-                cfg.groups = setup.groups;
-                cfg.group_size = setup.group_size;
-                cfg.clients = clients;
-                cfg.dest_groups = d;
-                cfg.staggered_leaders = setup.staggered_leaders;
-                cfg.make_delays = setup.make_delays;
-                cfg.cpu = setup.cpu;
-                cfg.replica = quiet_replica_config();
-                cfg.seed = static_cast<std::uint64_t>(clients) * 31 +
-                           static_cast<std::uint64_t>(d);
-                cfg.warmup = setup.warmup;
-                cfg.target_ops = quick_mode() ? setup.target_ops / 5
-                                              : setup.target_ops;
-                cfg.min_measure = quick_mode() ? setup.min_measure / 2
-                                               : setup.min_measure;
-                cfg.max_measure = setup.max_measure;
-                const auto r = harness::run_experiment(cfg);
+                const auto seed = static_cast<std::uint64_t>(clients) * 31 +
+                                  static_cast<std::uint64_t>(d);
+                ctrl::CoordinatorConfig ccfg;
+                ccfg.spec = sweep_spec();
+                ccfg.spec.proto = kind;
+                ccfg.spec.dest_groups = static_cast<std::uint32_t>(d);
+                ccfg.spec.seed = seed;
+                ccfg.spec.warmup = setup.warmup;
+                ccfg.spec.measure =
+                    quick_mode() ? setup.measure / 2 : setup.measure;
+                ccfg.shared_epoch = true;  // one simulated clock
+                const Topology topo(setup.groups, setup.group_size,
+                                    clients + 1, setup.staggered_leaders);
+                const harness::FigPoint pt = run_point(
+                    topo, ccfg, setup.make_delays(), setup.cpu, seed);
                 std::printf("%8d %16.0f %14.3f %12.3f %12.3f\n", clients,
-                            r.throughput_ops_s, r.mean_ms, r.p50_ms, r.p99_ms);
-                all[static_cast<int>(kind)][d].push_back(SweepPoint{clients, r});
+                            pt.throughput_ops_s, pt.mean_ms, pt.p50_ms,
+                            pt.p99_ms);
+                all[static_cast<int>(kind)][d].push_back(pt);
             }
         }
     }
-    // The merged BENCH_fig7/fig8 JSON (same schema as the distributed
-    // coordinator's — docs/BENCHMARKS.md).
+    // The merged BENCH_fig7/fig8 JSON (same schema as `wbamctl run` —
+    // docs/BENCHMARKS.md).
     if (setup.json_tag[0] != '\0') {
         harness::FigReport report;
         report.bench = setup.json_tag;
@@ -120,10 +136,7 @@ inline void run_sweep(const SweepSetup& setup) {
                 harness::FigSeries series;
                 series.protocol = harness::to_string(kind);
                 series.dest_groups = d;
-                for (const SweepPoint& p : all[static_cast<int>(kind)][d])
-                    series.points.push_back(harness::FigPoint{
-                        p.clients, p.result.throughput_ops_s, p.result.mean_ms,
-                        p.result.p50_ms, p.result.p99_ms, p.result.ops});
+                series.points = all[static_cast<int>(kind)][d];
                 report.series.push_back(std::move(series));
             }
         }
@@ -141,19 +154,18 @@ inline void run_sweep(const SweepSetup& setup) {
         const auto& wb = all[static_cast<int>(harness::ProtocolKind::wbcast)][d];
         const auto& fc =
             all[static_cast<int>(harness::ProtocolKind::fastcast)][d];
-        const SweepPoint* wb_pt = nullptr;
-        const SweepPoint* fc_pt = nullptr;
+        const harness::FigPoint* wb_pt = nullptr;
+        const harness::FigPoint* fc_pt = nullptr;
         for (const auto& p : wb)
             if (p.clients == 1000) wb_pt = &p;
         for (const auto& p : fc)
             if (p.clients == 1000) fc_pt = &p;
-        if (!wb_pt || !fc_pt || fc_pt->result.throughput_ops_s <= 0 ||
-            wb_pt->result.mean_ms <= 0)
+        if (!wb_pt || !fc_pt || fc_pt->throughput_ops_s <= 0 ||
+            wb_pt->mean_ms <= 0)
             continue;
         std::printf("%8d %21.2fx %21.2fx\n", d,
-                    wb_pt->result.throughput_ops_s /
-                        fc_pt->result.throughput_ops_s,
-                    fc_pt->result.mean_ms / wb_pt->result.mean_ms);
+                    wb_pt->throughput_ops_s / fc_pt->throughput_ops_s,
+                    fc_pt->mean_ms / wb_pt->mean_ms);
     }
 }
 

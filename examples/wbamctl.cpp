@@ -17,13 +17,13 @@
 //     sequence, and writes the merged BENCH_fig7/fig8-schema JSON.
 //     Exit 0 only on a validated run.
 //
-//   wbamctl sim --topology=FILE [same workload flags] [--clients=N]
-//               [--target-ops=2000] [--out=...]
+//   wbamctl sim --topology=FILE [same flags as run] [--out=...]
 //
-//     Runs the SAME topology file through the deterministic simulator
-//     (sim::LinkMatrixDelay built from the file's owd matrix) and emits
-//     the same JSON schema — the simulated prediction of the deployed
-//     run. All client pids drive load (no coordinator seat in-process).
+//     Runs the SAME experiment on the deterministic simulator: the same
+//     coordinator, driver and replica roles (ctrl::run_in_sim), over a
+//     sim::LinkMatrixDelay built from the file's owd matrix. Emits the
+//     same JSON schema (series only) — the simulated prediction of the
+//     deployed run. Exit 0 only on a validated run.
 //
 //   wbamctl topology [--groups=2] [--group-size=3] [--gen-clients=3]
 //                    [--regions=2] [--local=100us] [--cross=20ms]
@@ -38,11 +38,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "common/log.hpp"
 #include "ctrl/bench_plane.hpp"
-#include "harness/experiment.hpp"
+#include "ctrl/sim_run.hpp"
 #include "obs/stage.hpp"
 #include "harness/topology_spec.hpp"
 #include "net/world.hpp"
@@ -59,17 +60,15 @@ struct CtlOptions {
     harness::ProtocolKind proto = harness::ProtocolKind::wbcast;
     int dest_groups = 1;
     int sessions = 4;
-    int clients = 0;  // sim only; 0 = the topology file's client count
     int payload = 20;
     int warmup_ms = 500;
     int measure_ms = 3000;
     int sample_ms = 250;
     int deadline_ms = 120'000;
-    std::uint64_t target_ops = 2000;  // sim only
     std::uint64_t seed = 1;
     bool batching = false;
     std::int64_t epoch_ns = 0;
-    // Scale-out KV workload (run only; the sim path keeps opaque payloads)
+    // Scale-out KV workload
     ctrl::WorkloadKind workload = ctrl::WorkloadKind::bytes;
     int kv_keys = 1000;
     double kv_theta = 0.99;
@@ -137,8 +136,6 @@ bool parse_flags(int argc, char** argv, int first, CtlOptions& o) {
             o.proto = *kind;
         } else if ((v = flag_value(argv[i], "--seed"))) {
             o.seed = std::strtoull(v, nullptr, 10);
-        } else if ((v = flag_value(argv[i], "--target-ops"))) {
-            o.target_ops = std::strtoull(v, nullptr, 10);
         } else if ((v = flag_value(argv[i], "--epoch-ns"))) {
             o.epoch_ns = static_cast<std::int64_t>(
                 std::strtoull(v, nullptr, 10));
@@ -165,7 +162,6 @@ bool parse_flags(int argc, char** argv, int first, CtlOptions& o) {
                    int_flag("--kv-cross-pct", &o.kv_cross_pct, 0, 100) ||
                    int_flag("--dest-groups", &o.dest_groups, 1, 4096) ||
                    int_flag("--sessions", &o.sessions, 1, 1 << 16) ||
-                   int_flag("--clients", &o.clients, 0, 1 << 20) ||
                    int_flag("--payload", &o.payload, 0, 4 << 20) ||
                    int_flag("--warmup-ms", &o.warmup_ms, 0, 3'600'000) ||
                    int_flag("--measure-ms", &o.measure_ms, 1, 3'600'000) ||
@@ -212,9 +208,55 @@ ctrl::BenchSpec spec_from(const CtlOptions& o) {
     return spec;
 }
 
-harness::FigReport report_skeleton(const CtlOptions& o,
-                                   const harness::TopologySpec& spec,
-                                   const char* runtime) {
+// The topology file `run` and `sim` drive, after the checks they share.
+std::optional<harness::TopologySpec> load_bench_topology(const CtlOptions& o,
+                                                         const char* cmd) {
+    if (o.topology_file.empty()) {
+        std::fprintf(stderr, "wbamctl %s: --topology=FILE is required\n", cmd);
+        return std::nullopt;
+    }
+    if (o.kv_read_pct + o.kv_cross_pct > 100) {
+        std::fprintf(stderr,
+                     "wbamctl %s: --kv-read-pct + --kv-cross-pct "
+                     "must not exceed 100\n",
+                     cmd);
+        return std::nullopt;
+    }
+    std::string error;
+    auto spec = harness::TopologySpec::load(o.topology_file, &error);
+    if (!spec) {
+        std::fprintf(stderr, "wbamctl: %s\n", error.c_str());
+        return std::nullopt;
+    }
+    if (spec->clients < 2) {
+        std::fprintf(stderr,
+                     "wbamctl %s: topology needs >= 2 client pids "
+                     "(drivers + the coordinator seat)\n",
+                     cmd);
+        return std::nullopt;
+    }
+    return spec;
+}
+
+ctrl::CoordinatorConfig coordinator_config(const CtlOptions& o) {
+    ctrl::CoordinatorConfig ccfg;
+    ccfg.spec = spec_from(o);
+    ccfg.shared_epoch = o.epoch_ns > 0;
+    ccfg.deadline = milliseconds(o.deadline_ms);
+    return ccfg;
+}
+
+std::string default_out(const CtlOptions& o) {
+    return o.out.empty()
+               ? (o.fig == 8 ? "BENCH_fig8.json" : "BENCH_fig7.json")
+               : o.out;
+}
+
+// The FigReport of one finished run (one series, one point), shared by
+// `run` and `sim`; `run` adds its telemetry sections on top.
+harness::FigReport fig_report(const CtlOptions& o,
+                              const harness::TopologySpec& spec,
+                              const char* runtime, const ctrl::RunResult& r) {
     harness::FigReport report;
     report.bench = o.fig == 8 ? "fig8" : "fig7";
     report.runtime = runtime;
@@ -234,45 +276,32 @@ harness::FigReport report_skeleton(const CtlOptions& o,
         report.kv_cross_pct = static_cast<std::uint32_t>(o.kv_cross_pct);
         report.name += ", kv zipf " + std::to_string(o.kv_theta);
     }
+    harness::FigSeries series;
+    series.protocol = harness::to_string(o.proto);
+    series.dest_groups = o.dest_groups;
+    series.points.push_back(r.point);
+    report.series.push_back(std::move(series));
     return report;
 }
 
-std::string default_out(const CtlOptions& o) {
-    return o.out.empty()
-               ? (o.fig == 8 ? "BENCH_fig8.json" : "BENCH_fig7.json")
-               : o.out;
+void print_ok(const char* cmd, const ctrl::RunResult& r, int replicas,
+              const std::string& out) {
+    const harness::FigPoint& pt = r.point;
+    std::printf(
+        "wbamctl %s: OK — %d sessions on %d drivers: %.0f ops/s, "
+        "mean %.2f ms, p50 %.2f ms, p99 %.2f ms (%llu ops, %llu samples; "
+        "delivery sequences validated on all %d replicas) -> %s\n",
+        cmd, pt.clients, r.drivers, pt.throughput_ops_s, pt.mean_ms,
+        pt.p50_ms, pt.p99_ms, static_cast<unsigned long long>(pt.ops),
+        static_cast<unsigned long long>(r.samples_streamed), replicas,
+        out.c_str());
 }
 
 int cmd_run(const CtlOptions& o) {
-    if (o.topology_file.empty()) {
-        std::fprintf(stderr, "wbamctl run: --topology=FILE is required\n");
-        return 2;
-    }
-    if (o.kv_read_pct + o.kv_cross_pct > 100) {
-        std::fprintf(stderr,
-                     "wbamctl run: --kv-read-pct + --kv-cross-pct "
-                     "must not exceed 100\n");
-        return 2;
-    }
-    std::string error;
-    const auto spec = harness::TopologySpec::load(o.topology_file, &error);
-    if (!spec) {
-        std::fprintf(stderr, "wbamctl: %s\n", error.c_str());
-        return 2;
-    }
+    const auto spec = load_bench_topology(o, "run");
+    if (!spec) return 2;
     const Topology topo = spec->topology();
-    if (topo.num_clients() < 2) {
-        std::fprintf(stderr,
-                     "wbamctl run: topology needs >= 2 client pids "
-                     "(drivers + the coordinator seat)\n");
-        return 2;
-    }
     const ProcessId self = topo.client(topo.num_clients() - 1);
-
-    ctrl::CoordinatorConfig ccfg;
-    ccfg.spec = spec_from(o);
-    ccfg.shared_epoch = o.epoch_ns > 0;
-    ccfg.deadline = milliseconds(o.deadline_ms);
 
     net::NetConfig ncfg;
     ncfg.shards = o.net_shards;
@@ -283,7 +312,8 @@ int cmd_run(const CtlOptions& o) {
             std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                 std::chrono::nanoseconds(o.epoch_ns)));
     net::NetWorld world(topo, static_cast<std::uint64_t>(self) + 1, ncfg);
-    auto coordinator = std::make_unique<ctrl::Coordinator>(topo, ccfg);
+    auto coordinator =
+        std::make_unique<ctrl::Coordinator>(topo, coordinator_config(o));
     ctrl::Coordinator* coord = coordinator.get();
     world.add_process(self, std::move(coordinator),
                       spec->cluster_map().of(self).port);
@@ -295,21 +325,17 @@ int cmd_run(const CtlOptions& o) {
         world.run_for(milliseconds(10));
     world.shutdown();
 
-    if (!coord->finished() || !coord->succeeded()) {
+    const ctrl::RunResult r = coord->result();
+    if (!r.ok) {
         std::fprintf(stderr, "wbamctl run: FAILED — %s\n",
-                     coord->finished() ? coord->error().c_str()
+                     coord->finished() ? r.error.c_str()
                                        : "coordinator never finished");
         return 1;
     }
 
-    harness::FigReport report = report_skeleton(o, *spec, "net-distributed");
-    report.driver_processes = coord->drivers();
-    report.samples_streamed = coord->samples_streamed();
-    harness::FigSeries series;
-    series.protocol = harness::to_string(o.proto);
-    series.dest_groups = o.dest_groups;
-    series.points.push_back(coord->result_point());
-    report.series.push_back(std::move(series));
+    harness::FigReport report = fig_report(o, *spec, "net-distributed", r);
+    report.driver_processes = r.drivers;
+    report.samples_streamed = r.samples_streamed;
 
     // White-box stage breakdown: cumulative-from-submit latency per
     // protocol phase, bucket-merged across every replica (exact
@@ -349,15 +375,7 @@ int cmd_run(const CtlOptions& o) {
 
     const std::string out = default_out(o);
     if (!report.write(out)) return 1;
-    const harness::FigPoint& pt = report.series[0].points[0];
-    std::printf(
-        "wbamctl run: OK — %d sessions on %d drivers: %.0f ops/s, "
-        "mean %.2f ms, p50 %.2f ms, p99 %.2f ms (%llu ops, %llu samples; "
-        "delivery sequences validated on all %d replicas) -> %s\n",
-        pt.clients, coord->drivers(), pt.throughput_ops_s, pt.mean_ms,
-        pt.p50_ms, pt.p99_ms, static_cast<unsigned long long>(pt.ops),
-        static_cast<unsigned long long>(coord->samples_streamed()),
-        topo.num_replicas(), out.c_str());
+    print_ok("run", r, topo.num_replicas(), out);
     if (!report.stages.empty()) {
         std::printf("wbamctl run: stage breakdown (%s, cluster-merged):\n",
                     harness::to_string(o.proto));
@@ -392,62 +410,20 @@ int cmd_run(const CtlOptions& o) {
 }
 
 int cmd_sim(const CtlOptions& o) {
-    if (o.topology_file.empty()) {
-        std::fprintf(stderr, "wbamctl sim: --topology=FILE is required\n");
-        return 2;
+    const auto spec = load_bench_topology(o, "sim");
+    if (!spec) return 2;
+    const Topology topo = spec->topology();
+    ctrl::CoordinatorConfig ccfg = coordinator_config(o);
+    ccfg.shared_epoch = true;  // one simulated clock
+    const ctrl::RunResult r = ctrl::run_in_sim(topo, ccfg, spec->delay_model(),
+                                               sim::CpuModel{}, o.seed);
+    if (!r.ok) {
+        std::fprintf(stderr, "wbamctl sim: FAILED — %s\n", r.error.c_str());
+        return 1;
     }
-    if (o.workload == ctrl::WorkloadKind::kv) {
-        std::fprintf(stderr,
-                     "wbamctl sim: --workload=kv is only supported by "
-                     "'run' (the sim sweep drives opaque payloads; the KV "
-                     "conservation tests cover the simulated store)\n");
-        return 2;
-    }
-    std::string error;
-    const auto spec = harness::TopologySpec::load(o.topology_file, &error);
-    if (!spec) {
-        std::fprintf(stderr, "wbamctl: %s\n", error.c_str());
-        return 2;
-    }
-    harness::ExperimentConfig cfg;
-    cfg.kind = o.proto;
-    cfg.groups = spec->groups;
-    cfg.group_size = spec->group_size;
-    // The sim has no coordinator seat: every client pid drives load. A
-    // --clients override would change the process count and invalidate
-    // the file's per-process region table, so it is rejected here.
-    if (o.clients != 0 && o.clients != spec->clients) {
-        std::fprintf(stderr,
-                     "wbamctl sim: --clients=%d conflicts with the topology "
-                     "file's %d client pids (regions are per-process)\n",
-                     o.clients, spec->clients);
-        return 2;
-    }
-    cfg.clients = spec->clients;
-    cfg.staggered_leaders = spec->staggered_leaders;
-    cfg.dest_groups = o.dest_groups;
-    cfg.payload = static_cast<std::uint32_t>(o.payload);
-    cfg.make_delays = [spec] { return spec->delay_model(); };
-    cfg.seed = o.seed;
-    cfg.warmup = milliseconds(o.warmup_ms);
-    cfg.target_ops = o.target_ops;
-    cfg.min_measure = milliseconds(o.measure_ms);
-    const auto r = harness::run_experiment(cfg);
-
-    harness::FigReport report = report_skeleton(o, *spec, "sim");
-    harness::FigSeries series;
-    series.protocol = harness::to_string(o.proto);
-    series.dest_groups = o.dest_groups;
-    series.points.push_back(harness::FigPoint{
-        spec->clients, r.throughput_ops_s, r.mean_ms, r.p50_ms, r.p99_ms,
-        r.ops});
-    report.series.push_back(std::move(series));
     const std::string out = default_out(o);
-    if (!report.write(out)) return 1;
-    std::printf("wbamctl sim: %d clients: %.0f ops/s, mean %.2f ms, "
-                "p50 %.2f ms, p99 %.2f ms -> %s\n",
-                spec->clients, r.throughput_ops_s, r.mean_ms, r.p50_ms,
-                r.p99_ms, out.c_str());
+    if (!fig_report(o, *spec, "sim", r).write(out)) return 1;
+    print_ok("sim", r, topo.num_replicas(), out);
     return 0;
 }
 

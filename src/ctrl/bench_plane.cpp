@@ -201,13 +201,12 @@ void BenchDriver::on_message(Context& ctx, ProcessId, const BufferSlice& bytes) 
             return;
         codec::Reader body = env.body;
         const GroupId group = DeliverAckMsg::decode(body).group;
-        const client::LatencySampler::Delivery d =
-            sampler_.note_group_delivery(env.about, group, ctx.now());
-        (void)d;
         const auto it = pending_.find(env.about);
-        if (it == pending_.end()) return;
-        it->second.acked.insert(group);
-        if (it->second.acked.size() == it->second.msg.dests.size()) {
+        if (it == pending_.end()) return;  // duplicate after completion
+        PendingOp& p = it->second;
+        p.acked.insert(group);
+        if (p.acked.size() == p.msg.dests.size()) {
+            sampler_.note_completion(p.msg.submit_ts, ctx.now());
             pending_.erase(it);
             // Closed loop: this session immediately issues its next op
             // (even past window close — sustained load keeps the other
@@ -304,7 +303,7 @@ void BenchDriver::issue(Context& ctx) {
     const MsgId id = make_msg_id(ctx.self(), seq_++);
     AppMessage m = make_app_message(id, std::move(dests), std::move(payload));
     m.submit_ts = ctx.now();
-    sampler_.note_multicast(id, ctx.now(), m.dests.size());
+    sampler_.note_issue();
     const Buffer wire = encode_multicast_request(m);
     for (const GroupId g : m.dests) ctx.send(topo_.initial_leader(g), wire);
     PendingOp& p = pending_[id];
@@ -565,6 +564,24 @@ harness::FigPoint Coordinator::result_point() const {
     pt.p50_ms = to_millis(merged_.percentile(0.50));
     pt.p99_ms = to_millis(merged_.percentile(0.99));
     return pt;
+}
+
+RunResult Coordinator::result() const {
+    RunResult r;
+    r.ok = ok_;
+    r.error = error_;
+    r.point = result_point();
+    r.drivers = drivers_;
+    r.samples_streamed = samples_streamed_;
+    if (ok_) {
+        // validate_groups passed: every member matches the first.
+        for (GroupId g = 0; g < topo_.num_groups(); ++g) {
+            const ReplicaDoneMsg& done =
+                replica_done_.at(topo_.members(g).front());
+            r.groups.push_back({done.delivered, done.digest, done.app_hash});
+        }
+    }
+    return r;
 }
 
 }  // namespace wbam::ctrl

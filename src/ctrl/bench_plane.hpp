@@ -1,11 +1,12 @@
-// The distributed benchmark plane: the processes that turn a deployed
-// wbamd cluster (real OS processes over TCP — loopback, netns-emulated
-// WAN, or real hosts) into a measurement instrument producing the same
-// BENCH_fig7/fig8 JSON as the simulated sweeps.
+// The benchmark plane: the processes that turn a cluster into a
+// measurement instrument producing the BENCH_fig7/fig8 JSON. The same
+// roles run as wbamd/wbamctl OS processes over TCP (loopback,
+// netns-emulated WAN, or real hosts) and inside one sim::World
+// (ctrl/sim_run.hpp), so there is one measurement harness.
 //
-// Three roles, all ordinary Process implementations on the net runtime
-// (so the control plane inherits the transport's reliable-FIFO channels
-// and reconnect behaviour for free):
+// Three roles, all ordinary Process implementations (so on TCP the
+// control plane inherits the transport's reliable-FIFO channels and
+// reconnect behaviour for free):
 //
 //   * NodeShim    — wraps a replica. Starts bare; instantiates the actual
 //                   protocol stack only when the coordinator's RUN_SPEC
@@ -18,13 +19,14 @@
 //                   group's initial leader, which the driver addresses,
 //                   acks; every member that has delivered re-acks when
 //                   the driver's resend reaches it.
-//   * BenchDriver — hosts `sessions` closed-loop client sessions and the
-//                   node-side LatencySampler; streams drained raw samples
+//   * BenchDriver — hosts `sessions` closed-loop client sessions and a
+//                   LatencySampler; an op completes when every destination
+//                   group has acked it. Streams drained raw samples
 //                   to the coordinator (SAMPLE) during the measurement
 //                   window and reports final counters (DRIVER_DONE).
 //                   Keeps applying load after its window closes so other
-//                   drivers measure under full contention; stops at
-//                   SHUTDOWN.
+//                   drivers measure under full contention; stops issuing
+//                   at STOP_LOAD.
 //   * Coordinator — distributes the BenchSpec, opens the measurement
 //                   window (absolute timepoints when the deployment
 //                   shares a clock epoch), merges streamed samples into
@@ -195,6 +197,25 @@ struct CoordinatorConfig {
     Duration deadline = seconds(180);
 };
 
+// One group's delivery record as every replica of it reported it.
+struct GroupRecord {
+    std::uint64_t delivered = 0;
+    std::uint64_t digest = 0;
+    std::uint64_t app_hash = 0;  // kv workload only; 0 for bytes
+
+    bool operator==(const GroupRecord&) const = default;
+};
+
+// A finished run, copied out of its coordinator.
+struct RunResult {
+    bool ok = false;
+    std::string error;
+    harness::FigPoint point;
+    int drivers = 0;
+    std::uint64_t samples_streamed = 0;
+    std::vector<GroupRecord> groups;  // per group id; empty unless ok
+};
+
 class Coordinator final : public Process {
 public:
     Coordinator(Topology topo, CoordinatorConfig cfg);
@@ -212,13 +233,14 @@ public:
     bool succeeded() const { return ok_; }
     const std::string& error() const { return error_; }
     harness::FigPoint result_point() const;
+    RunResult result() const;
     const stats::Histogram& merged_latency() const { return merged_; }
-    std::uint64_t samples_streamed() const { return samples_streamed_; }
-    int drivers() const { return drivers_; }
     // Cluster-wide metrics, folded from the final REPLICA_DONE snapshots
     // at finish: counters summed, histograms (the stage/<proto>/<stage>
     // rows in particular) bucket-merged — percentiles over the merge are
-    // exact, not approximated from per-replica quantiles.
+    // exact, not approximated from per-replica quantiles. Under the
+    // simulator every replica reports the one process-global registry,
+    // so these sums count it once per replica; sim reports omit them.
     const std::map<std::string, std::uint64_t>& merged_counters() const {
         return merged_counters_;
     }

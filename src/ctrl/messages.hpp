@@ -71,7 +71,7 @@ inline const char* to_string(WorkloadKind k) {
     return k == WorkloadKind::kv ? "kv" : "bytes";
 }
 
-// The distributable subset of harness::ExperimentConfig: everything a
+// The experiment configuration the coordinator distributes: everything a
 // node needs to build its replica stack or drive its share of the load.
 struct BenchSpec {
     harness::ProtocolKind proto = harness::ProtocolKind::wbcast;
@@ -88,6 +88,12 @@ struct BenchSpec {
     Duration suspect_timeout = seconds(30);
     Duration retry_interval = milliseconds(200);
     bool batching_enabled = false;
+    // The simulator's implementation-cost model (ReplicaConfig's
+    // consensus_cmd_cost / wbcast_*_cost). Charged through Context::charge,
+    // which costs nothing on TCP; 0 = off.
+    Duration consensus_cmd_cost = 0;
+    Duration wbcast_multicast_cost = 0;
+    Duration wbcast_accept_cost = 0;
     // Transport shard count the run was launched with (wbamd builds its
     // NetWorld before the spec arrives, so this is recorded metadata for
     // the report, not a knob the spec can change remotely; 0 = auto).
@@ -107,6 +113,9 @@ struct BenchSpec {
         cfg.suspect_timeout = suspect_timeout;
         cfg.retry_interval = retry_interval;
         cfg.batching_enabled = batching_enabled;
+        cfg.consensus_cmd_cost = consensus_cmd_cost;
+        cfg.wbcast_multicast_cost = wbcast_multicast_cost;
+        cfg.wbcast_accept_cost = wbcast_accept_cost;
         return cfg;
     }
 
@@ -124,6 +133,9 @@ struct BenchSpec {
         w.zigzag(suspect_timeout);
         w.zigzag(retry_interval);
         w.boolean(batching_enabled);
+        w.zigzag(consensus_cmd_cost);
+        w.zigzag(wbcast_multicast_cost);
+        w.zigzag(wbcast_accept_cost);
         w.varint(net_shards);
         w.u8(static_cast<std::uint8_t>(workload));
         w.varint(kv_keys);
@@ -149,6 +161,9 @@ struct BenchSpec {
         s.suspect_timeout = r.zigzag();
         s.retry_interval = r.zigzag();
         s.batching_enabled = r.boolean();
+        s.consensus_cmd_cost = r.zigzag();
+        s.wbcast_multicast_cost = r.zigzag();
+        s.wbcast_accept_cost = r.zigzag();
         codec::read_field(r, s.net_shards);
         const std::uint8_t wl = r.u8();
         if (wl > static_cast<std::uint8_t>(WorkloadKind::kv))
@@ -159,7 +174,8 @@ struct BenchSpec {
         codec::read_field(r, s.kv_read_pct);
         codec::read_field(r, s.kv_cross_pct);
         if (s.dest_groups == 0 || s.sessions == 0 || s.measure <= 0 ||
-            s.sample_interval <= 0)
+            s.sample_interval <= 0 || s.consensus_cmd_cost < 0 ||
+            s.wbcast_multicast_cost < 0 || s.wbcast_accept_cost < 0)
             throw codec::DecodeError("degenerate bench spec");
         if (s.workload == WorkloadKind::kv &&
             (s.kv_keys < 2 || s.kv_theta_milli >= 1000 ||

@@ -1,9 +1,9 @@
 // The BENCH_fig7 / BENCH_fig8 JSON schema (docs/BENCHMARKS.md): one
 // report per figure run, one series per (protocol, destination-group
-// count), one point per client count. The simulated sweeps
-// (bench/bench_load.hpp) and the distributed coordinator
-// (ctrl::Coordinator via wbamctl) emit the SAME schema, so plotting and
-// CI checks are runtime-agnostic.
+// count), one point per client count. Every point is a ctrl::Coordinator
+// result, whether the coordinator ran in the simulator (the sweeps in
+// bench/bench_load.hpp, `wbamctl sim`) or over TCP (`wbamctl run`), so
+// plotting and CI checks are runtime-agnostic.
 #ifndef WBAM_HARNESS_FIG_REPORT_HPP
 #define WBAM_HARNESS_FIG_REPORT_HPP
 
@@ -34,6 +34,8 @@ struct FigPoint {
     double p50_ms = 0;
     double p99_ms = 0;
     std::uint64_t ops = 0;  // completions inside the measurement window
+
+    bool operator==(const FigPoint&) const = default;
 };
 
 struct FigSeries {
@@ -53,8 +55,8 @@ struct FigReport {
     // only; 0 = auto or not applicable). Emitted so perf deltas across
     // reports are attributable to the event-loop configuration.
     int net_shards = 0;
-    // Distributed runs only (0/0 on in-process runs): how the load was
-    // spread across OS processes and how many raw samples were streamed.
+    // `wbamctl run` only (0/0 in sim reports): how the load was spread
+    // across OS processes and how many raw samples were streamed.
     int driver_processes = 0;
     std::uint64_t samples_streamed = 0;
     // Workload shape. "bytes" is the opaque-payload microbenchmark; "kv"

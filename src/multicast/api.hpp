@@ -19,11 +19,10 @@ class Log;
 namespace wbam {
 
 // Called by a replica protocol at the moment it delivers m. The sink may
-// send messages through ctx. The harness, wbamd and ctrl::NodeShim sinks
-// end in ClientAckRule::on_delivered (multicast/client_ack.hpp), which
-// sends the deliver_ack only if the client asked this replica; the
-// in-process client::BenchCoordinator sink acks the first delivery in
-// each group.
+// send messages through ctx. Every sink that acks clients (the harness,
+// wbamd, ctrl::NodeShim) ends in ClientAckRule::on_delivered
+// (multicast/client_ack.hpp), which sends the deliver_ack only if the
+// client asked this replica.
 using DeliverySink =
     std::function<void(Context& ctx, GroupId group, const AppMessage& m)>;
 

@@ -4,7 +4,8 @@
 // RUN_SPEC → START → SAMPLE/DONE → STOP_LOAD → REPORT → SHUTDOWN — run
 // end-to-end over real loopback TCP with one NetWorld per process, exactly
 // the in-process twin of a wbamd --bench + wbamctl run deployment, and on
-// the simulator.
+// the simulator through ctrl::run_in_sim (every row, the KV workload, and
+// two runs of one seed that must agree).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,8 +14,8 @@
 
 #include "client/latency_sampler.hpp"
 #include "ctrl/bench_plane.hpp"
+#include "ctrl/sim_run.hpp"
 #include "harness/live_cluster.hpp"
-#include "sim/world.hpp"
 
 namespace wbam {
 namespace {
@@ -50,6 +51,9 @@ TEST(CtrlCodecTest, BenchSpecRoundTrip) {
     spec.suspect_timeout = seconds(9);
     spec.retry_interval = milliseconds(321);
     spec.batching_enabled = true;
+    spec.consensus_cmd_cost = microseconds(12);
+    spec.wbcast_multicast_cost = microseconds(10);
+    spec.wbcast_accept_cost = nanoseconds(500);
 
     const BenchSpec out = reencode(spec);
     EXPECT_EQ(out.proto, spec.proto);
@@ -65,10 +69,33 @@ TEST(CtrlCodecTest, BenchSpecRoundTrip) {
     EXPECT_EQ(out.suspect_timeout, spec.suspect_timeout);
     EXPECT_EQ(out.retry_interval, spec.retry_interval);
     EXPECT_EQ(out.batching_enabled, spec.batching_enabled);
+    EXPECT_EQ(out.consensus_cmd_cost, spec.consensus_cmd_cost);
+    EXPECT_EQ(out.wbcast_multicast_cost, spec.wbcast_multicast_cost);
+    EXPECT_EQ(out.wbcast_accept_cost, spec.wbcast_accept_cost);
 
     const ReplicaConfig rc = out.replica_config();
     EXPECT_EQ(rc.heartbeat_interval, spec.heartbeat_interval);
     EXPECT_TRUE(rc.batching_enabled);
+    EXPECT_EQ(rc.consensus_cmd_cost, spec.consensus_cmd_cost);
+    EXPECT_EQ(rc.wbcast_multicast_cost, spec.wbcast_multicast_cost);
+    EXPECT_EQ(rc.wbcast_accept_cost, spec.wbcast_accept_cost);
+}
+
+// Every proper prefix of a spec, a cut inside the cost-model fields
+// included, is rejected rather than read as a shorter spec.
+TEST(CtrlCodecTest, BenchSpecTruncationsRejected) {
+    BenchSpec spec;
+    spec.consensus_cmd_cost = microseconds(12);
+    spec.wbcast_multicast_cost = microseconds(10);
+    spec.wbcast_accept_cost = nanoseconds(500);
+    const Bytes wire = codec::encode_to_bytes(spec);
+    for (std::size_t cut = 0; cut < wire.size(); ++cut) {
+        const Bytes prefix(wire.begin(),
+                           wire.begin() + static_cast<long>(cut));
+        EXPECT_THROW(codec::decode_from_bytes<BenchSpec>(prefix),
+                     codec::DecodeError)
+            << "cut at " << cut << " of " << wire.size();
+    }
 }
 
 TEST(CtrlCodecTest, BenchSpecKvWorkloadRoundTrip) {
@@ -127,6 +154,12 @@ TEST(CtrlCodecTest, DegenerateSpecRejected) {
     const Buffer buf = std::move(w).take_buffer();
     codec::Reader r{BufferSlice(buf)};
     EXPECT_THROW(BenchSpec::decode(r), codec::DecodeError);
+
+    BenchSpec cost;
+    cost.wbcast_accept_cost = -1;  // a negative CPU charge
+    EXPECT_THROW(codec::decode_from_bytes<BenchSpec>(
+                     codec::encode_to_bytes(cost)),
+                 codec::DecodeError);
 }
 
 TEST(CtrlCodecTest, SampleMsgRoundTripAndHostileCount) {
@@ -175,22 +208,21 @@ TEST(LatencySamplerTest, WindowAndDrainSemantics) {
     s.set_window(milliseconds(10), milliseconds(30));
 
     // Completes inside the window: counted, sampled, drainable.
-    s.note_multicast(1, milliseconds(5), 2);
-    EXPECT_FALSE(s.note_group_delivery(1, 0, milliseconds(12)).completed);
-    const auto done = s.note_group_delivery(1, 1, milliseconds(15));
-    EXPECT_TRUE(done.first_in_group);
-    EXPECT_TRUE(done.completed);
-    // Duplicate delivery in the same group: neither first nor completing.
-    const auto dup = s.note_group_delivery(1, 1, milliseconds(16));
-    EXPECT_FALSE(dup.first_in_group);
-    EXPECT_FALSE(dup.completed);
+    s.note_issue();
+    EXPECT_EQ(s.outstanding(), 1u);
+    s.note_completion(milliseconds(5), milliseconds(15));
+    EXPECT_EQ(s.outstanding(), 0u);
 
     // Completes after the window closes: total but not in-window.
-    s.note_multicast(2, milliseconds(20), 1);
-    s.note_group_delivery(2, 0, milliseconds(31));
+    s.note_issue();
+    s.note_completion(milliseconds(20), milliseconds(31));
+
+    // Still in flight: outstanding, neither total nor in-window.
+    s.note_issue();
 
     EXPECT_EQ(s.completed_in_window(), 1u);
     EXPECT_EQ(s.completed_total(), 2u);
+    EXPECT_EQ(s.outstanding(), 1u);
     const auto drained = s.drain_samples();
     ASSERT_EQ(drained.size(), 1u);
     EXPECT_EQ(drained[0], milliseconds(10));  // 15 - 5
@@ -280,7 +312,7 @@ TEST(CtrlPlaneTest, DistributedRunProducesMergedValidatedResult) {
     EXPECT_GE(pt.p99_ms, pt.p50_ms);
     // Every in-window completion was streamed as a raw sample, so merged
     // percentiles are computed over the exact sample population.
-    EXPECT_EQ(fx.coordinator->samples_streamed(), pt.ops);
+    EXPECT_EQ(fx.coordinator->result().samples_streamed, pt.ops);
     EXPECT_EQ(fx.coordinator->merged_latency().count(), pt.ops);
 
     // SHUTDOWN reached every node (the coordinator's own slot stays off).
@@ -351,40 +383,71 @@ TEST(CtrlPlaneTest, RelativeWindowsWorkWithoutSharedEpoch) {
 class CtrlPlaneSimTest
     : public ::testing::TestWithParam<harness::ProtocolKind> {};
 
-TEST_P(CtrlPlaneSimTest, FirstReportAgreesUnderSustainedLoad) {
-    const Topology topo{2, 3, 3};
-    sim::World world(topo, std::make_unique<sim::JitterDelay>(
-                               microseconds(100), microseconds(50)),
-                     17);
-    const ProcessId coord_pid = topo.client(topo.num_clients() - 1);
-    std::vector<std::atomic<bool>> flags(
-        static_cast<std::size_t>(topo.num_processes()));
+ctrl::CoordinatorConfig sim_config(harness::ProtocolKind proto) {
     ctrl::CoordinatorConfig ccfg = quick_config();
-    ccfg.spec.proto = GetParam();
+    ccfg.spec.proto = proto;
     ccfg.spec.sessions = 4;
     ccfg.spec.heartbeat_interval = milliseconds(20);
     ccfg.report_attempts = 1;
-    ctrl::Coordinator* coordinator = nullptr;
-    for (ProcessId p = 0; p < topo.num_processes(); ++p) {
-        std::atomic<bool>* flag = &flags[static_cast<std::size_t>(p)];
-        if (topo.is_replica(p)) {
-            world.add_process(p, std::make_unique<ctrl::NodeShim>(
-                                     topo, p, coord_pid, flag));
-        } else if (p == coord_pid) {
-            auto c = std::make_unique<ctrl::Coordinator>(topo, ccfg);
-            coordinator = c.get();
-            world.add_process(p, std::move(c));
-        } else {
-            world.add_process(p, std::make_unique<ctrl::BenchDriver>(
-                                     topo, coord_pid, flag));
-        }
+    ccfg.deadline = seconds(20);
+    return ccfg;
+}
+
+ctrl::RunResult run_sim(const ctrl::CoordinatorConfig& ccfg,
+                        sim::CpuModel cpu = {}) {
+    return ctrl::run_in_sim(Topology{2, 3, 3}, ccfg,
+                            std::make_unique<sim::JitterDelay>(
+                                microseconds(100), microseconds(50)),
+                            cpu, 17);
+}
+
+TEST_P(CtrlPlaneSimTest, FirstReportAgreesUnderSustainedLoad) {
+    const ctrl::RunResult r = run_sim(sim_config(GetParam()));
+    EXPECT_TRUE(r.ok) << r.error;
+    EXPECT_GT(r.point.ops, 0u);
+}
+
+// The same seed gives the same run: one simulated clock, workload draws
+// from the spec's seed, and no wall-clock input anywhere in the loop.
+// Exercised with the cost model on, so the BenchSpec cost fields reach
+// the replicas' Context::charge.
+TEST(CtrlPlaneSimDeterminismTest, SameSeedSameResult) {
+    ctrl::CoordinatorConfig ccfg = sim_config(harness::ProtocolKind::ftskeen);
+    ccfg.spec.consensus_cmd_cost = microseconds(12);
+    const sim::CpuModel cpu{.per_message = nanoseconds(300),
+                            .per_byte = nanoseconds(2),
+                            .wakeup = microseconds(3)};
+    const ctrl::RunResult a = run_sim(ccfg, cpu);
+    const ctrl::RunResult b = run_sim(ccfg, cpu);
+    ASSERT_TRUE(a.ok) << a.error;
+    ASSERT_TRUE(b.ok) << b.error;
+    EXPECT_GT(a.point.ops, 0u);
+    EXPECT_EQ(a.point, b.point);
+    ASSERT_EQ(a.groups.size(), 2u);
+    EXPECT_EQ(a.groups, b.groups);
+
+    // The cost model is live: the same run without it is a different run.
+    ccfg.spec.consensus_cmd_cost = 0;
+    EXPECT_NE(run_sim(ccfg, cpu).point, a.point);
+}
+
+// The KV workload in sim: NodeShim applies the zipfian ops into its shard,
+// and the coordinator's check covers each group's application-state hash.
+TEST(CtrlPlaneSimKvTest, AppStateHashValidates) {
+    ctrl::CoordinatorConfig ccfg = sim_config(harness::ProtocolKind::wbcast);
+    ccfg.spec.workload = ctrl::WorkloadKind::kv;
+    ccfg.spec.kv_keys = 100;
+    ccfg.spec.kv_read_pct = 40;
+    ccfg.spec.kv_cross_pct = 20;
+    const ctrl::RunResult r = run_sim(ccfg);
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_GT(r.point.ops, 0u);
+    ASSERT_EQ(r.groups.size(), 2u);
+    for (GroupId g = 0; g < 2; ++g) {
+        EXPECT_GT(r.groups[g].delivered, 0u);
+        // Ops were applied, not just delivered: not an empty shard's hash.
+        EXPECT_NE(r.groups[g].app_hash, kv::ShardState(g, 2).state_hash());
     }
-    world.start();
-    while (!coordinator->finished() && world.now() < seconds(20))
-        world.run_for(milliseconds(10));
-    ASSERT_TRUE(coordinator->finished()) << "coordinator stuck";
-    EXPECT_TRUE(coordinator->succeeded()) << coordinator->error();
-    EXPECT_GT(coordinator->result_point().ops, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
