@@ -11,8 +11,8 @@
 //               [--fig=7] [--out=BENCH_fig7.json] [-v]
 //
 //     Takes the coordinator seat (the LAST client pid of the topology
-//     file), distributes the experiment spec to every wbamd --bench
-//     process, opens the measurement window, merges the streamed latency
+//     file), distributes the experiment spec to every wbamd process,
+//     opens the measurement window, merges the streamed latency
 //     samples, validates that every replica group agrees on its delivery
 //     sequence, and writes the merged BENCH_fig7/fig8-schema JSON.
 //     Exit 0 only on a validated run.
@@ -34,7 +34,6 @@
 //     clients round-robin) or validates an existing one.
 //
 // Deployment modes and the file format: docs/DEPLOYMENT.md.
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -44,9 +43,8 @@
 #include "common/log.hpp"
 #include "ctrl/bench_plane.hpp"
 #include "ctrl/sim_run.hpp"
+#include "harness/bootstrap.hpp"
 #include "obs/stage.hpp"
-#include "harness/topology_spec.hpp"
-#include "net/world.hpp"
 
 using namespace wbam;
 
@@ -169,9 +167,12 @@ bool parse_flags(int argc, char** argv, int first, CtlOptions& o) {
                    int_flag("--deadline-ms", &o.deadline_ms, 1, 86'400'000) ||
                    int_flag("--net-shards", &o.net_shards, 0, 64) ||
                    int_flag("--fig", &o.fig, 7, 8) ||
-                   int_flag("--groups", &o.groups, 1, 4096) ||
-                   int_flag("--group-size", &o.group_size, 1, 99) ||
-                   int_flag("--gen-clients", &o.gen_clients, 1, 1 << 20) ||
+                   int_flag("--groups", &o.groups, 1,
+                            harness::TopologySpec::max_groups) ||
+                   int_flag("--group-size", &o.group_size, 1,
+                            harness::TopologySpec::max_group_size) ||
+                   int_flag("--gen-clients", &o.gen_clients, 1,
+                            harness::TopologySpec::max_clients) ||
                    int_flag("--regions", &o.regions, 1, 64) ||
                    int_flag("--base-port", &o.base_port, 1, 65535) ||
                    dur_flag("--local", &o.local) ||
@@ -209,8 +210,8 @@ ctrl::BenchSpec spec_from(const CtlOptions& o) {
 }
 
 // The topology file `run` and `sim` drive, after the checks they share.
-std::optional<harness::TopologySpec> load_bench_topology(const CtlOptions& o,
-                                                         const char* cmd) {
+std::optional<harness::Bootstrap> bench_topology(const CtlOptions& o,
+                                                 const char* cmd) {
     if (o.topology_file.empty()) {
         std::fprintf(stderr, "wbamctl %s: --topology=FILE is required\n", cmd);
         return std::nullopt;
@@ -223,19 +224,9 @@ std::optional<harness::TopologySpec> load_bench_topology(const CtlOptions& o,
         return std::nullopt;
     }
     std::string error;
-    auto spec = harness::TopologySpec::load(o.topology_file, &error);
-    if (!spec) {
-        std::fprintf(stderr, "wbamctl: %s\n", error.c_str());
-        return std::nullopt;
-    }
-    if (spec->clients < 2) {
-        std::fprintf(stderr,
-                     "wbamctl %s: topology needs >= 2 client pids "
-                     "(drivers + the coordinator seat)\n",
-                     cmd);
-        return std::nullopt;
-    }
-    return spec;
+    auto boot = harness::load_bench_topology(o.topology_file, &error);
+    if (!boot) std::fprintf(stderr, "wbamctl %s: %s\n", cmd, error.c_str());
+    return boot;
 }
 
 ctrl::CoordinatorConfig coordinator_config(const CtlOptions& o) {
@@ -298,26 +289,19 @@ void print_ok(const char* cmd, const ctrl::RunResult& r, int replicas,
 }
 
 int cmd_run(const CtlOptions& o) {
-    const auto spec = load_bench_topology(o, "run");
-    if (!spec) return 2;
-    const Topology topo = spec->topology();
-    const ProcessId self = topo.client(topo.num_clients() - 1);
+    const auto boot = bench_topology(o, "run");
+    if (!boot) return 2;
+    const Topology& topo = boot->topo;
+    const ProcessId self = boot->coordinator;
 
-    net::NetConfig ncfg;
-    ncfg.shards = o.net_shards;
-    if (spec->cluster_map().of(self).host != "127.0.0.1")
-        ncfg.bind_host = "0.0.0.0";
-    if (o.epoch_ns > 0)
-        ncfg.epoch = std::chrono::steady_clock::time_point(
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::nanoseconds(o.epoch_ns)));
-    net::NetWorld world(topo, static_cast<std::uint64_t>(self) + 1, ncfg);
+    net::NetWorld world(topo, static_cast<std::uint64_t>(self) + 1,
+                        harness::node_net_config(boot->map.of(self),
+                                                 o.epoch_ns, o.net_shards));
     auto coordinator =
         std::make_unique<ctrl::Coordinator>(topo, coordinator_config(o));
     ctrl::Coordinator* coord = coordinator.get();
-    world.add_process(self, std::move(coordinator),
-                      spec->cluster_map().of(self).port);
-    world.set_cluster(spec->cluster_map());
+    world.add_process(self, std::move(coordinator), boot->map.of(self).port);
+    world.set_cluster(boot->map);
     world.start();
 
     const int slices = o.deadline_ms / 10 + 100;
@@ -333,7 +317,8 @@ int cmd_run(const CtlOptions& o) {
         return 1;
     }
 
-    harness::FigReport report = fig_report(o, *spec, "net-distributed", r);
+    harness::FigReport report =
+        fig_report(o, boot->spec, "net-distributed", r);
     report.driver_processes = r.drivers;
     report.samples_streamed = r.samples_streamed;
 
@@ -410,19 +395,20 @@ int cmd_run(const CtlOptions& o) {
 }
 
 int cmd_sim(const CtlOptions& o) {
-    const auto spec = load_bench_topology(o, "sim");
-    if (!spec) return 2;
-    const Topology topo = spec->topology();
+    const auto boot = bench_topology(o, "sim");
+    if (!boot) return 2;
+    const Topology& topo = boot->topo;
     ctrl::CoordinatorConfig ccfg = coordinator_config(o);
     ccfg.shared_epoch = true;  // one simulated clock
-    const ctrl::RunResult r = ctrl::run_in_sim(topo, ccfg, spec->delay_model(),
-                                               sim::CpuModel{}, o.seed);
+    const ctrl::RunResult r =
+        ctrl::run_in_sim(topo, ccfg, boot->spec.delay_model(),
+                         sim::CpuModel{}, o.seed);
     if (!r.ok) {
         std::fprintf(stderr, "wbamctl sim: FAILED — %s\n", r.error.c_str());
         return 1;
     }
     const std::string out = default_out(o);
-    if (!fig_report(o, *spec, "sim", r).write(out)) return 1;
+    if (!fig_report(o, boot->spec, "sim", r).write(out)) return 1;
     print_ok("sim", r, topo.num_replicas(), out);
     return 0;
 }
@@ -444,6 +430,20 @@ int cmd_topology(const CtlOptions& o) {
     }
     if (o.group_size % 2 == 0) {
         std::fprintf(stderr, "wbamctl topology: --group-size must be odd\n");
+        return 2;
+    }
+    const int processes = o.groups * o.group_size + o.gen_clients;
+    if (o.regions > processes) {
+        std::fprintf(stderr,
+                     "wbamctl topology: --regions exceeds the %d processes\n",
+                     processes);
+        return 2;
+    }
+    if (o.base_port + processes > 65536) {
+        std::fprintf(stderr,
+                     "wbamctl topology: --base-port leaves no room for %d "
+                     "consecutive ports\n",
+                     processes);
         return 2;
     }
     const harness::TopologySpec spec = harness::TopologySpec::make_grouped(

@@ -3,7 +3,7 @@
 latency percentiles vs. number of groups (= shards) at a fixed
 replicas-per-group, white-box atomic multicast against the black-box
 baselines, all driven through the distributed bench plane
-(wbam_deploy.py -> wbamd --bench + wbamctl run --workload=kv).
+(wbam_deploy.py -> wbamd + wbamctl run --workload=kv).
 
 Each (protocol, group-count) cell is one full deployment: real OS
 processes over TCP (local mode) or netem-shaped namespaces (netns mode),

@@ -96,7 +96,7 @@ class Layout:
     harness::TopologySpec::make_grouped: replicas regioned by group,
     drivers and the coordinator round-robin)."""
 
-    def __init__(self, args, node_ip):
+    def __init__(self, args, node_ip, base_port):
         self.groups = args.groups
         self.group_size = args.group_size
         self.drivers = args.drivers
@@ -113,7 +113,6 @@ class Layout:
         for c in range(self.clients):
             self.region_of.append(c % self.regions)
         self.coordinator = self.replicas + self.clients - 1
-        base_port = args.base_port
         self.addr_of = [
             (node_ip(self.region_of[p]), base_port + p)
             for p in range(self.processes)
@@ -235,8 +234,13 @@ def wait_all(procs, names, timeout_s):
     return status
 
 
-def check_sequences(outdir, layout):
-    """Replicas of one group must have written identical sequences."""
+def check_sequences(outdir, layout, args):
+    """Replicas of one group must have written identical sequences. When
+    every op goes to every group (bytes workload, --dest-groups >=
+    --groups), the groups must also agree on one order: each group's
+    sequence must be a prefix of the longest one. A prefix, not equality,
+    because groups answer the coordinator's REPORT at different times."""
+    sequences = []
     for g in range(layout.groups):
         members = list(range(g * layout.group_size, (g + 1) * layout.group_size))
         first = None
@@ -255,6 +259,16 @@ def check_sequences(outdir, layout):
             fail(f"group {g} delivered nothing")
         log(f"group {g}: {len(first.splitlines())} deliveries, "
             f"identical on {len(members)} replicas")
+        sequences.append(first)
+    if args.workload != "bytes" or args.dest_groups < layout.groups:
+        return
+    longest = max(range(layout.groups), key=lambda g: len(sequences[g]))
+    for g, seq in enumerate(sequences):
+        if not sequences[longest].startswith(seq):
+            fail(f"delivery sequence of group {g} is not a prefix of group "
+                 f"{longest}'s, though every op went to every group")
+    log(f"all {layout.groups} groups deliver one order (each sequence a "
+        f"prefix of group {longest}'s)")
 
 
 def check_json(path, args):
@@ -306,7 +320,7 @@ def launch_cluster(args, layout, topo_path, exec_in_region, outdir):
     for p in range(layout.processes):
         if p == layout.coordinator:
             continue
-        cmd = [wbamd, f"--pid={p}", "--bench", f"--topology={topo_path}",
+        cmd = [wbamd, f"--pid={p}", f"--topology={topo_path}",
                f"--epoch-ns={epoch}", f"--run-ms={run_ms}",
                f"--net-shards={args.net_shards}"]
         if getattr(args, "verbose", False):
@@ -407,7 +421,7 @@ def finish_run(args, layout, coord_status, statuses, outdir):
         fail(f"coordinator exited {coord_status} (wbamd statuses: {bad})")
     if bad:
         fail(f"wbamd processes failed: {bad}")
-    check_sequences(outdir, layout)
+    check_sequences(outdir, layout, args)
     check_json(args.out, args)
     if getattr(args, "crash_pid", None) is not None:
         check_wal_recovery(outdir, args.crash_pid)
@@ -425,7 +439,9 @@ def cmd_netns(args):
     outdir = args.workdir or f"/tmp/wbam-deploy-{run_id}"
     os.makedirs(outdir, exist_ok=True)
 
-    layout = Layout(args, node_ip=lambda r: f"10.231.{r}.1")
+    # Every region is its own network namespace, so a fixed port range
+    # cannot collide with anything outside the run.
+    layout = Layout(args, node_ip=lambda r: f"10.231.{r}.1", base_port=7100)
     mesh = NetnsMesh(run_id, layout.regions)
     log(f"namespaces: {layout.regions} regions, cross-region one-way "
         f"{args.cross}, {layout.replicas} replicas + {layout.drivers} "
@@ -457,11 +473,11 @@ def cmd_local(args):
     outdir = args.workdir or f"/tmp/wbam-deploy-{run_id}"
     os.makedirs(outdir, exist_ok=True)
     # Random sub-32768 base port; a collision surfaces as an early wbamd
-    # death and we retry with a fresh range (same policy as
-    # scripts/run_loopback_cluster.sh).
+    # death and we retry with a fresh range.
     for attempt in range(3):
-        args.base_port = 20000 + random.randrange(12000)
-        layout = Layout(args, node_ip=lambda r: "127.0.0.1")
+        base_port = 20000 + random.randrange(12000)
+        layout = Layout(args, node_ip=lambda r: "127.0.0.1",
+                        base_port=base_port)
         topo_path = os.path.join(outdir, "cluster.topo")
         with open(topo_path, "w") as f:
             f.write(layout.topology_text(local_ns=0, cross_ns=0))
@@ -473,7 +489,7 @@ def cmd_local(args):
         if coord_status != 0 and attempt + 1 < 3 and any(
                 s != 0 for s in statuses.values()):
             log(f"retrying with a fresh port range (attempt {attempt + 2}) "
-                f"— possible port collision on base {args.base_port}")
+                f"— possible port collision on base {base_port}")
             continue
         finish_run(args, layout, coord_status, statuses, outdir)
         return
@@ -508,7 +524,7 @@ def cmd_ssh(args):
     for p in range(processes):
         if p == coordinator:
             continue
-        cmd = [wbamd, f"--pid={p}", "--bench", f"--topology={remote_topo}",
+        cmd = [wbamd, f"--pid={p}", f"--topology={remote_topo}",
                f"--run-ms={run_ms}", f"--net-shards={args.net_shards}"]
         if args.metrics_dir:
             # The directory is on the REMOTE host and must already exist
@@ -604,7 +620,6 @@ def main():
                             "must already exist on the remote hosts)")
         m.add_argument("--metrics-interval-ms", type=int, default=1000,
                        help="cadence of the per-process delta lines")
-        m.add_argument("--base-port", type=int, default=7100)
         m.add_argument("--topology", default=None)
         m.add_argument("--verbose", action="store_true",
                        help="run wbamd/wbamctl with -v (logs in the workdir)")

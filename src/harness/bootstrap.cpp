@@ -1,5 +1,6 @@
 #include "harness/bootstrap.hpp"
 
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 
@@ -51,30 +52,12 @@ std::optional<NodeOptions> parse_node_args(int argc, const char* const* argv,
         int r = 0;
         if ((r = int_flag("--pid", 0, 1 << 20,
                           [&](long long x) { o.pid = static_cast<ProcessId>(x); })) != 0) {
-        } else if ((r = int_flag("--groups", 1, 4096,
-                                 [&](long long x) { o.groups = static_cast<int>(x); })) != 0) {
-        } else if ((r = int_flag("--group-size", 1, 99,
-                                 [&](long long x) { o.group_size = static_cast<int>(x); })) != 0) {
-        } else if ((r = int_flag("--clients", 0, 1 << 20,
-                                 [&](long long x) { o.clients = static_cast<int>(x); })) != 0) {
-        } else if ((r = int_flag("--base-port", 1, 65535,
-                                 [&](long long x) { o.base_port = static_cast<int>(x); })) != 0) {
         } else if ((r = int_flag("--run-ms", 1, 86'400'000,
                                  [&](long long x) { o.run_ms = static_cast<int>(x); })) != 0) {
-        } else if ((r = int_flag("--msgs", 1, 1 << 24,
-                                 [&](long long x) { o.msgs = static_cast<int>(x); })) != 0) {
-        } else if ((r = int_flag("--payload", 0, 1 << 22,
-                                 [&](long long x) { o.payload = static_cast<int>(x); })) != 0) {
         } else if ((r = int_flag("--epoch-ns", 0, std::int64_t{1} << 62,
                                  [&](long long x) { o.epoch_ns = x; })) != 0) {
         } else if ((r = int_flag("--net-shards", 0, 64,
                                  [&](long long x) { o.net_shards = static_cast<int>(x); })) != 0) {
-        } else if ((v = flag_value(argv[i], "--proto"))) {
-            const auto kind = parse_protocol_kind(v);
-            if (!kind) return bad(std::string("unknown --proto=") + v);
-            o.proto = *kind;
-        } else if ((v = flag_value(argv[i], "--peers"))) {
-            o.peers = v;
         } else if ((v = flag_value(argv[i], "--topology"))) {
             o.topology_file = v;
         } else if ((v = flag_value(argv[i], "--out"))) {
@@ -93,8 +76,6 @@ std::optional<NodeOptions> parse_node_args(int argc, const char* const* argv,
                 return bad(std::string("unknown --wal-sync=") + v +
                            " (off|group|always)");
             o.wal_sync = v;
-        } else if (std::strcmp(argv[i], "--bench") == 0) {
-            o.bench = true;
         } else if (std::strcmp(argv[i], "-v") == 0) {
             o.verbose = true;
         } else {
@@ -105,66 +86,59 @@ std::optional<NodeOptions> parse_node_args(int argc, const char* const* argv,
     }
     if (o.pid == invalid_process)
         return bad("--pid is required");
-    if (o.topology_file.empty() && o.base_port == 0 && o.peers.empty())
-        return bad("one of --topology, --peers or --base-port is required");
+    if (o.topology_file.empty())
+        return bad("--topology is required");
     return o;
+}
+
+std::optional<Bootstrap> load_bench_topology(const std::string& path,
+                                             std::string* error) {
+    auto spec = TopologySpec::load(path, error);
+    if (!spec) return std::nullopt;
+    if (spec->clients < 2) {
+        set_error(error, path +
+                             ": topology needs >= 2 client pids (drivers + "
+                             "the coordinator seat)");
+        return std::nullopt;
+    }
+    Bootstrap b;
+    b.topo = spec->topology();
+    b.map = spec->cluster_map();
+    b.coordinator = b.topo.client(b.topo.num_clients() - 1);
+    b.spec = std::move(*spec);
+    return b;
 }
 
 std::optional<Bootstrap> resolve_bootstrap(const NodeOptions& o,
                                            std::string* error) {
-    Bootstrap b;
-    if (!o.topology_file.empty()) {
-        std::string spec_error;
-        auto spec = TopologySpec::load(o.topology_file, &spec_error);
-        if (!spec) {
-            set_error(error, spec_error);
-            return std::nullopt;
-        }
-        b.topo = spec->topology();
-        b.map = spec->cluster_map();
-        b.spec = std::move(spec);
-    } else {
-        if (o.group_size % 2 == 0) {
-            set_error(error, "--group-size must be odd (2f+1)");
-            return std::nullopt;
-        }
-        b.topo = Topology(o.groups, o.group_size, o.clients);
-        if (!o.peers.empty()) {
-            const auto parsed = net::parse_cluster(o.peers);
-            if (!parsed) {
-                set_error(error, "malformed --peers list");
-                return std::nullopt;
-            }
-            if (parsed->endpoints.size() !=
-                static_cast<std::size_t>(b.topo.num_processes())) {
-                set_error(error,
-                          "--peers names " +
-                              std::to_string(parsed->endpoints.size()) +
-                              " endpoints for a " +
-                              std::to_string(b.topo.num_processes()) +
-                              "-process topology");
-                return std::nullopt;
-            }
-            b.map = *parsed;
-        } else {
-            if (o.base_port + b.topo.num_processes() > 65536) {
-                set_error(error, "--base-port leaves no room for " +
-                                     std::to_string(b.topo.num_processes()) +
-                                     " consecutive ports");
-                return std::nullopt;
-            }
-            b.map = net::loopback_cluster(
-                b.topo, static_cast<std::uint16_t>(o.base_port));
-        }
-    }
-    if (o.pid < 0 || o.pid >= b.topo.num_processes()) {
+    auto b = load_bench_topology(o.topology_file, error);
+    if (!b) return std::nullopt;
+    if (o.pid < 0 || o.pid >= b->topo.num_processes()) {
         set_error(error, "--pid=" + std::to_string(o.pid) +
                              " outside the " +
-                             std::to_string(b.topo.num_processes()) +
+                             std::to_string(b->topo.num_processes()) +
                              "-process topology");
         return std::nullopt;
     }
+    if (o.pid == b->coordinator) {
+        set_error(error, "pid " + std::to_string(o.pid) +
+                             " is the coordinator seat: run 'wbamctl run' "
+                             "there instead");
+        return std::nullopt;
+    }
     return b;
+}
+
+net::NetConfig node_net_config(const net::Endpoint& self,
+                               std::int64_t epoch_ns, int net_shards) {
+    net::NetConfig cfg;
+    if (self.host != "127.0.0.1") cfg.bind_host = "0.0.0.0";
+    if (epoch_ns > 0)
+        cfg.epoch = std::chrono::steady_clock::time_point(
+            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                std::chrono::nanoseconds(epoch_ns)));
+    cfg.shards = net_shards;
+    return cfg;
 }
 
 }  // namespace wbam::harness

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace wbam::harness {
@@ -100,22 +101,25 @@ std::optional<TopologySpec> TopologySpec::parse(std::string_view text,
     std::string raw;
     int lineno = 0;
     std::vector<bool> node_seen;
-    auto ensure_shape = [&]() -> bool {
-        // Region-dependent lines require `regions` (and the counts) first.
+    // Sizes the owd/node tables the first time a region-dependent line (or
+    // the end of the file) needs them. Returns why it cannot, or nullptr.
+    auto ensure_shape = [&]() -> const char* {
+        if (!spec.owd.empty()) return nullptr;
         if (spec.groups <= 0 || spec.group_size <= 0 || !saw_regions)
-            return false;
-        if (spec.owd.empty()) {
-            spec.owd.assign(static_cast<std::size_t>(spec.regions),
-                            std::vector<Duration>(
-                                static_cast<std::size_t>(spec.regions), 0));
-            spec.region_of.assign(
-                static_cast<std::size_t>(spec.num_processes()), 0);
-            spec.endpoints.assign(
-                static_cast<std::size_t>(spec.num_processes()), {});
-            node_seen.assign(static_cast<std::size_t>(spec.num_processes()),
-                             false);
-        }
-        return true;
+            return "groups/group_size/regions must precede every owd/node "
+                   "line";
+        if (spec.regions > spec.num_processes())
+            return "regions exceeds the process count";
+        spec.owd.assign(static_cast<std::size_t>(spec.regions),
+                        std::vector<Duration>(
+                            static_cast<std::size_t>(spec.regions), 0));
+        spec.region_of.assign(static_cast<std::size_t>(spec.num_processes()),
+                              0);
+        spec.endpoints.assign(static_cast<std::size_t>(spec.num_processes()),
+                              {});
+        node_seen.assign(static_cast<std::size_t>(spec.num_processes()),
+                         false);
+        return nullptr;
     };
     while (std::getline(in, raw)) {
         ++lineno;
@@ -137,6 +141,17 @@ std::optional<TopologySpec> TopologySpec::parse(std::string_view text,
             tok[0] == "regions") {
             if (tok.size() != 2 || !parse_int(tok[1], &n) || n < 0) {
                 fail(error, lineno, "expected '" + std::string(tok[0]) + " N'");
+                return std::nullopt;
+            }
+            const long long max = tok[0] == "groups"       ? max_groups
+                                  : tok[0] == "group_size" ? max_group_size
+                                  : tok[0] == "clients"    ? max_clients
+                                  : tok[0] == "regions"    ? max_regions
+                                  : std::numeric_limits<long long>::max();
+            if (n > max) {
+                fail(error, lineno,
+                     std::string(tok[0]) + " must be <= " +
+                         std::to_string(max));
                 return std::nullopt;
             }
             // The owd/node tables are sized from these counts the first
@@ -183,9 +198,8 @@ std::optional<TopologySpec> TopologySpec::parse(std::string_view text,
                 fail(error, lineno, "expected 'owd FROM TO DELAY'");
                 return std::nullopt;
             }
-            if (!ensure_shape()) {
-                fail(error, lineno,
-                     "owd before groups/group_size/regions were declared");
+            if (const char* why = ensure_shape()) {
+                fail(error, lineno, why);
                 return std::nullopt;
             }
             if (a < 0 || a >= spec.regions || b < 0 || b >= spec.regions) {
@@ -203,9 +217,8 @@ std::optional<TopologySpec> TopologySpec::parse(std::string_view text,
                      "expected 'node PID region R addr HOST:PORT'");
                 return std::nullopt;
             }
-            if (!ensure_shape()) {
-                fail(error, lineno,
-                     "node before groups/group_size/regions were declared");
+            if (const char* why = ensure_shape()) {
+                fail(error, lineno, why);
                 return std::nullopt;
             }
             if (pid < 0 || pid >= spec.num_processes()) {
@@ -243,8 +256,12 @@ std::optional<TopologySpec> TopologySpec::parse(std::string_view text,
         fail(error, lineno, "groups/group_size missing or invalid");
         return std::nullopt;
     }
-    if (!ensure_shape()) {
+    if (!saw_regions) {
         fail(error, lineno, "regions line missing");
+        return std::nullopt;
+    }
+    if (const char* why = ensure_shape()) {
+        fail(error, lineno, why);
         return std::nullopt;
     }
     for (int p = 0; p < spec.num_processes(); ++p) {

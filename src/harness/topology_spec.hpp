@@ -27,6 +27,8 @@
 #ifndef WBAM_HARNESS_TOPOLOGY_SPEC_HPP
 #define WBAM_HARNESS_TOPOLOGY_SPEC_HPP
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -47,6 +49,15 @@ std::optional<Duration> parse_duration(std::string_view s);
 std::string format_duration(Duration d);
 
 struct TopologySpec {
+    // parse() rejects counts above these, so num_processes() fits an int
+    // and a hostile file cannot size its tables past them.
+    static constexpr int max_groups = 4096;
+    static constexpr int max_group_size = 99;
+    static constexpr int max_clients = 1 << 20;
+    // The owd table is regions x regions; parse() also caps regions at
+    // the process count (a region without a process shapes nothing).
+    static constexpr int max_regions = 1024;
+
     int groups = 0;
     int group_size = 0;
     int clients = 0;
@@ -90,6 +101,11 @@ struct TopologySpec {
                                      Duration cross,
                                      std::uint16_t base_port = 7000);
 };
+
+static_assert(std::int64_t{TopologySpec::max_groups} *
+                      TopologySpec::max_group_size +
+                  TopologySpec::max_clients <=
+              std::numeric_limits<int>::max());
 
 }  // namespace wbam::harness
 

@@ -10,7 +10,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/topology.hpp"
 #include "common/types.hpp"
 
 namespace wbam::net {
@@ -31,19 +30,6 @@ struct ClusterMap {
         return id >= 0 && static_cast<std::size_t>(id) < endpoints.size();
     }
 };
-
-// Loopback deployment: process i listens on base_port + i. Used by the
-// wbamd example and the launcher script; in-process tests prefer ephemeral
-// ports (bind port 0, then exchange NetWorld::port_of).
-inline ClusterMap loopback_cluster(const Topology& topo,
-                                   std::uint16_t base_port) {
-    ClusterMap map;
-    map.endpoints.resize(static_cast<std::size_t>(topo.num_processes()));
-    for (int p = 0; p < topo.num_processes(); ++p)
-        map.endpoints[static_cast<std::size_t>(p)] =
-            Endpoint{"127.0.0.1", static_cast<std::uint16_t>(base_port + p)};
-    return map;
-}
 
 // Inverse of parse_cluster: "host:port,host:port,..." in id order.
 // format_cluster(parse_cluster(s)) == s for every well-formed s.

@@ -1,9 +1,10 @@
 // wbamd/wbamctl bootstrap validation (harness/bootstrap.hpp): argv
-// parsing with a malformed-input rejection table, --peers/--base-port/
-// --topology ClusterMap resolution (including precedence), and the
-// parse_cluster/format_cluster round-trip — the unit-level guarantee
-// that deployment-driver-generated configurations are validated before
-// any socket is opened.
+// parsing with a malformed-input rejection table (including every flag of
+// the retired self-driving mode, so a stale launcher fails loudly), the
+// topology-file resolution and its pid/seat checks, the NetConfig both
+// binaries derive, and the parse_cluster/format_cluster round-trip — the
+// unit-level guarantee that deployment-driver-generated configurations
+// are validated before any socket is opened.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -26,33 +27,45 @@ std::optional<NodeOptions> parse(std::vector<const char*> args,
     return parse_node_args(static_cast<int>(args.size()), args.data(), error);
 }
 
+// A saved 2x3 topology with 3 client pids (2 drivers + the coordinator at
+// pid 8), endpoints 127.0.0.1:7200+pid; removed with the fixture.
+class TopologyFile {
+public:
+    explicit TopologyFile(const harness::TopologySpec& spec,
+                          const char* name = "bootstrap_topo.txt")
+        : path_(testing::TempDir() + "/" + name) {
+        EXPECT_TRUE(spec.save(path_));
+    }
+    TopologyFile()
+        : TopologyFile(harness::TopologySpec::make_grouped(
+              2, 3, 3, 2, microseconds(100), milliseconds(20), 7200)) {}
+    ~TopologyFile() { std::remove(path_.c_str()); }
+
+    const std::string& path() const { return path_; }
+
+private:
+    std::string path_;
+};
+
 TEST(BootstrapArgsTest, FullFlagSetParses) {
-    const auto o = parse({"--pid=7", "--proto=ftskeen", "--groups=3",
-                          "--group-size=5", "--clients=2", "--base-port=9000",
-                          "--run-ms=1234", "--msgs=9", "--payload=64",
-                          "--epoch-ns=123456789", "--bench",
-                          "--out=/tmp/x.txt", "-v"});
+    const auto o = parse({"--pid=7", "--topology=/tmp/t.topo",
+                          "--epoch-ns=123456789", "--net-shards=4",
+                          "--run-ms=1234", "--out=/tmp/x.txt",
+                          "--wal-dir=/tmp/wal", "--wal-sync=always",
+                          "--metrics-dump=/tmp/m.jsonl",
+                          "--metrics-interval-ms=250", "-v"});
     ASSERT_TRUE(o.has_value());
     EXPECT_EQ(o->pid, 7);
-    EXPECT_EQ(o->proto, harness::ProtocolKind::ftskeen);
-    EXPECT_EQ(o->groups, 3);
-    EXPECT_EQ(o->group_size, 5);
-    EXPECT_EQ(o->clients, 2);
-    EXPECT_EQ(o->base_port, 9000);
-    EXPECT_EQ(o->run_ms, 1234);
-    EXPECT_EQ(o->msgs, 9);
-    EXPECT_EQ(o->payload, 64);
+    EXPECT_EQ(o->topology_file, "/tmp/t.topo");
     EXPECT_EQ(o->epoch_ns, 123456789);
-    EXPECT_TRUE(o->bench);
+    EXPECT_EQ(o->net_shards, 4);
+    EXPECT_EQ(o->run_ms, 1234);
     EXPECT_EQ(o->out, "/tmp/x.txt");
+    EXPECT_EQ(o->wal_dir, "/tmp/wal");
+    EXPECT_EQ(o->wal_sync, "always");
+    EXPECT_EQ(o->metrics_dump, "/tmp/m.jsonl");
+    EXPECT_EQ(o->metrics_interval_ms, 250);
     EXPECT_TRUE(o->verbose);
-}
-
-TEST(BootstrapArgsTest, PeersAloneSufficesForAddressing) {
-    const auto o = parse({"--pid=0", "--peers=a:1,b:2,c:3"});
-    ASSERT_TRUE(o.has_value());
-    EXPECT_EQ(o->peers, "a:1,b:2,c:3");
-    EXPECT_EQ(o->base_port, 0);
 }
 
 TEST(BootstrapArgsTest, MalformedArgsRejected) {
@@ -60,22 +73,37 @@ TEST(BootstrapArgsTest, MalformedArgsRejected) {
         const char* name;
         std::vector<const char*> args;
     } cases[] = {
-        {"no pid", {"--base-port=9000"}},
-        {"no addressing", {"--pid=0"}},
-        {"unknown flag", {"--pid=0", "--base-port=9000", "--frobnicate=1"}},
-        {"unknown proto", {"--pid=0", "--base-port=9000", "--proto=quux"}},
-        {"non-numeric pid", {"--pid=zero", "--base-port=9000"}},
-        {"negative pid", {"--pid=-3", "--base-port=9000"}},
-        {"port zero", {"--pid=0", "--base-port=0"}},
-        {"port too large", {"--pid=0", "--base-port=70000"}},
-        {"bad run-ms", {"--pid=0", "--base-port=9000", "--run-ms=0"}},
-        {"trailing junk", {"--pid=0x7", "--base-port=9000"}},
+        {"no pid", {"--topology=t"}},
+        {"no topology", {"--pid=0"}},
+        {"unknown flag", {"--pid=0", "--topology=t", "--frobnicate=1"}},
+        {"non-numeric pid", {"--pid=zero", "--topology=t"}},
+        {"negative pid", {"--pid=-3", "--topology=t"}},
+        {"bad run-ms", {"--pid=0", "--topology=t", "--run-ms=0"}},
+        {"trailing junk", {"--pid=0x7", "--topology=t"}},
+        {"shards too many", {"--pid=0", "--topology=t", "--net-shards=65"}},
+        {"unknown wal-sync", {"--pid=0", "--topology=t", "--wal-sync=maybe"}},
     };
     for (const auto& c : cases) {
         std::string error;
         EXPECT_FALSE(parse(c.args, &error).has_value())
             << c.name << " was accepted";
         EXPECT_FALSE(error.empty()) << c.name << " gave no diagnostic";
+    }
+}
+
+// The self-driving mode's flags are gone: a launcher still passing one
+// must fail at argv parsing, not run a silently different experiment.
+TEST(BootstrapArgsTest, RemovedFlagsAreUnknownArguments) {
+    for (const char* removed :
+         {"--bench", "--proto=wbcast", "--msgs=25", "--payload=32",
+          "--groups=2", "--group-size=3", "--clients=1", "--base-port=9000",
+          "--peers=a:1,b:2"}) {
+        std::string error;
+        EXPECT_FALSE(
+            parse({"--pid=0", "--topology=t", removed}, &error).has_value())
+            << removed << " was accepted";
+        EXPECT_NE(error.find("unknown argument"), std::string::npos)
+            << removed << ": " << error;
     }
 }
 
@@ -97,73 +125,61 @@ TEST(ClusterMapTest, MalformedPeerListsRejected) {
     }
 }
 
-TEST(BootstrapResolveTest, BasePortBuildsLoopbackMap) {
-    const auto o = parse({"--pid=2", "--groups=2", "--group-size=3",
-                          "--clients=1", "--base-port=9100"});
+TEST(BootstrapResolveTest, TopologyFileSuppliesShapeAndSeats) {
+    const TopologyFile file;
+    const std::string flag = "--topology=" + file.path();
+    const auto o = parse({"--pid=7", flag.c_str()});
     ASSERT_TRUE(o.has_value());
-    std::string error;
-    const auto b = resolve_bootstrap(*o, &error);
-    ASSERT_TRUE(b.has_value()) << error;
-    EXPECT_EQ(b->topo.num_processes(), 7);
-    EXPECT_EQ(b->map.of(6).port, 9106);
-    EXPECT_EQ(b->map.of(0).host, "127.0.0.1");
-    EXPECT_FALSE(b->spec.has_value());
-}
-
-TEST(BootstrapResolveTest, PeersMustMatchTopologySize) {
-    const auto o = parse({"--pid=0", "--groups=2", "--group-size=1",
-                          "--clients=1", "--peers=a:1,b:2"});
-    ASSERT_TRUE(o.has_value());
-    std::string error;
-    EXPECT_FALSE(resolve_bootstrap(*o, &error).has_value());
-    EXPECT_NE(error.find("2 endpoints"), std::string::npos) << error;
-
-    const auto ok = parse({"--pid=0", "--groups=2", "--group-size=1",
-                           "--clients=1", "--peers=a:1,b:2,c:3"});
-    const auto b = resolve_bootstrap(*ok, &error);
-    ASSERT_TRUE(b.has_value()) << error;
-    EXPECT_EQ(b->map.of(2).host, "c");
-}
-
-TEST(BootstrapResolveTest, RejectsOutOfTopologyPidAndEvenGroups) {
-    std::string error;
-    const auto o = parse({"--pid=7", "--groups=2", "--group-size=1",
-                          "--clients=1", "--base-port=9000"});
-    EXPECT_FALSE(resolve_bootstrap(*o, &error).has_value());
-    EXPECT_NE(error.find("outside"), std::string::npos) << error;
-
-    const auto even = parse({"--pid=0", "--groups=2", "--group-size=4",
-                             "--clients=1", "--base-port=9000"});
-    EXPECT_FALSE(resolve_bootstrap(*even, &error).has_value());
-    EXPECT_NE(error.find("odd"), std::string::npos) << error;
-
-    const auto high = parse({"--pid=0", "--groups=2", "--group-size=3",
-                             "--clients=1", "--base-port=65533"});
-    EXPECT_FALSE(resolve_bootstrap(*high, &error).has_value());
-    EXPECT_NE(error.find("room"), std::string::npos) << error;
-}
-
-TEST(BootstrapResolveTest, TopologyFileWinsAndSuppliesShape) {
-    const harness::TopologySpec spec = harness::TopologySpec::make_grouped(
-        2, 3, 3, 2, microseconds(100), milliseconds(20), 7200);
-    const std::string path = testing::TempDir() + "/bootstrap_topo.txt";
-    ASSERT_TRUE(spec.save(path));
-
-    // Flag shape (1x1x1) contradicts the file; the file wins.
-    auto o = parse({"--pid=8", "--groups=1", "--group-size=1", "--clients=1",
-                    "--base-port=9000"});
-    o->topology_file = path;
     std::string error;
     const auto b = resolve_bootstrap(*o, &error);
     ASSERT_TRUE(b.has_value()) << error;
     EXPECT_EQ(b->topo.num_processes(), 9);
     EXPECT_EQ(b->map.of(8).port, 7208);
-    ASSERT_TRUE(b->spec.has_value());
-    EXPECT_EQ(b->spec->regions, 2);
-    std::remove(path.c_str());
+    EXPECT_EQ(b->spec.regions, 2);
+    EXPECT_EQ(b->coordinator, 8);
 
-    o->topology_file = "/nonexistent/nope.txt";
-    EXPECT_FALSE(resolve_bootstrap(*o, &error).has_value());
+    auto missing = *o;
+    missing.topology_file = "/nonexistent/nope.txt";
+    EXPECT_FALSE(resolve_bootstrap(missing, &error).has_value());
+}
+
+TEST(BootstrapResolveTest, RejectsOutOfTopologyPidAndCoordinatorSeat) {
+    const TopologyFile file;
+    const std::string flag = "--topology=" + file.path();
+    std::string error;
+    const auto outside = parse({"--pid=9", flag.c_str()});
+    EXPECT_FALSE(resolve_bootstrap(*outside, &error).has_value());
+    EXPECT_NE(error.find("outside"), std::string::npos) << error;
+
+    const auto seat = parse({"--pid=8", flag.c_str()});
+    EXPECT_FALSE(resolve_bootstrap(*seat, &error).has_value());
+    EXPECT_NE(error.find("coordinator"), std::string::npos) << error;
+}
+
+TEST(BootstrapResolveTest, BenchTopologyNeedsADriverBesidesTheCoordinator) {
+    const TopologyFile file(harness::TopologySpec::make_grouped(
+        1, 1, 1, 1, microseconds(100), milliseconds(20), 7300));
+    std::string error;
+    EXPECT_FALSE(
+        harness::load_bench_topology(file.path(), &error).has_value());
+    EXPECT_NE(error.find(">= 2 client pids"), std::string::npos) << error;
+}
+
+TEST(NodeNetConfigTest, BindEpochAndShards) {
+    const net::NetConfig loopback =
+        harness::node_net_config({"127.0.0.1", 7000}, 0, 0);
+    EXPECT_EQ(loopback.bind_host, "127.0.0.1");
+    EXPECT_EQ(loopback.epoch, std::chrono::steady_clock::time_point{});
+    EXPECT_EQ(loopback.shards, 0);
+
+    const net::NetConfig mesh =
+        harness::node_net_config({"10.231.1.1", 7000}, 5'000'000'000, 4);
+    EXPECT_EQ(mesh.bind_host, "0.0.0.0");
+    EXPECT_EQ(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  mesh.epoch.time_since_epoch())
+                  .count(),
+              5'000'000'000);
+    EXPECT_EQ(mesh.shards, 4);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // window/drain semantics, and the full coordinator exchange — READY →
 // RUN_SPEC → START → SAMPLE/DONE → STOP_LOAD → REPORT → SHUTDOWN — run
 // end-to-end over real loopback TCP with one NetWorld per process, exactly
-// the in-process twin of a wbamd --bench + wbamctl run deployment, and on
+// the in-process twin of a wbamd + wbamctl run deployment, and on
 // the simulator through ctrl::run_in_sim (every row, the KV workload, and
 // two runs of one seed that must agree).
 #include <gtest/gtest.h>

@@ -109,6 +109,8 @@ TEST(TopologySpecTest, ClusterMapMatchesEndpoints) {
 TEST(TopologySpecTest, MalformedInputsRejected) {
     const TopologySpec good = grouped_fixture();
     const std::string base = good.format();
+    const std::string two_nodes =
+        "node 0 region 0 addr h:1\nnode 1 region 0 addr h:2\n";
     const struct {
         const char* name;
         std::string text;
@@ -149,6 +151,34 @@ TEST(TopologySpecTest, MalformedInputsRejected) {
              const auto at = t.find("node 8");
              return t.substr(0, at);
          }()},
+        // Counts are bounded before any table is sized from them, and the
+        // process count cannot wrap around.
+        // 1431655766 x 3 = 2^32 + 2: an int process count reads 2.
+        {"process count wraps around",
+         "wbam-topology v1\ngroups 1431655766\ngroup_size 3\nclients 0\n"
+         "regions 1\n" + two_nodes},
+        // 2^32 + 2 truncated to int is 2.
+        {"groups truncated by the int cast",
+         "wbam-topology v1\ngroups 4294967298\ngroup_size 1\nclients 0\n"
+         "regions 1\n" + two_nodes},
+        {"groups above 4096",
+         "wbam-topology v1\ngroups 4097\ngroup_size 1\nclients 0\n"
+         "regions 1\n"},
+        {"group_size above 99",
+         "wbam-topology v1\ngroups 1\ngroup_size 101\nclients 0\n"
+         "regions 1\n"},
+        {"clients above 2^20",
+         "wbam-topology v1\ngroups 1\ngroup_size 1\nclients 1048577\n"
+         "regions 1\n"},
+        {"regions above the process count",
+         "wbam-topology v1\ngroups 1\ngroup_size 1\nclients 1\n"
+         "regions 3\nowd 2 2 1ms\n" + two_nodes},
+        {"regions above the process count, no owd line",
+         "wbam-topology v1\ngroups 1\ngroup_size 1\nclients 1\n"
+         "regions 3\n" + two_nodes},
+        {"regions above 1024",
+         "wbam-topology v1\ngroups 4096\ngroup_size 1\nclients 0\n"
+         "regions 1025\n"},
     };
     for (const auto& c : cases) {
         std::string error;
