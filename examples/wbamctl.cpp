@@ -34,11 +34,14 @@
 //     clients round-robin) or validates an existing one.
 //
 // Deployment modes and the file format: docs/DEPLOYMENT.md.
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/log.hpp"
 #include "ctrl/bench_plane.hpp"
@@ -65,7 +68,7 @@ struct CtlOptions {
     int deadline_ms = 120'000;
     std::uint64_t seed = 1;
     bool batching = false;
-    std::int64_t epoch_ns = 0;
+    std::uint64_t epoch_ns = 0;  // at most 2^62, as wbamd takes it
     // Scale-out KV workload
     ctrl::WorkloadKind workload = ctrl::WorkloadKind::bytes;
     int kv_keys = 1000;
@@ -107,6 +110,22 @@ bool parse_flags(int argc, char** argv, int first, CtlOptions& o) {
             *out = static_cast<int>(parsed);
             return true;
         };
+        auto u64_flag = [&](const char* name, std::uint64_t* out,
+                            std::uint64_t max) {
+            if ((v = flag_value(argv[i], name)) == nullptr) return false;
+            char* end = nullptr;
+            errno = 0;
+            const unsigned long long parsed = std::strtoull(v, &end, 10);
+            if (end == v || *end != '\0' || *v == '-' || errno == ERANGE ||
+                parsed > max) {
+                std::fprintf(stderr,
+                             "wbamctl: bad value in %s (range 0..%llu)\n",
+                             argv[i], static_cast<unsigned long long>(max));
+                std::exit(2);
+            }
+            *out = parsed;
+            return true;
+        };
         auto dur_flag = [&](const char* name, Duration* out) {
             if ((v = flag_value(argv[i], name)) == nullptr) return false;
             const auto d = harness::parse_duration(v);
@@ -132,11 +151,6 @@ bool parse_flags(int argc, char** argv, int first, CtlOptions& o) {
                 return false;
             }
             o.proto = *kind;
-        } else if ((v = flag_value(argv[i], "--seed"))) {
-            o.seed = std::strtoull(v, nullptr, 10);
-        } else if ((v = flag_value(argv[i], "--epoch-ns"))) {
-            o.epoch_ns = static_cast<std::int64_t>(
-                std::strtoull(v, nullptr, 10));
         } else if ((v = flag_value(argv[i], "--workload"))) {
             if (std::strcmp(v, "bytes") == 0) {
                 o.workload = ctrl::WorkloadKind::bytes;
@@ -155,7 +169,10 @@ bool parse_flags(int argc, char** argv, int first, CtlOptions& o) {
                              "wbamctl: --kv-theta must be in [0,1)\n");
                 std::exit(2);
             }
-        } else if (int_flag("--kv-keys", &o.kv_keys, 2, 100'000'000) ||
+        } else if (u64_flag("--seed", &o.seed, UINT64_MAX) ||
+                   u64_flag("--epoch-ns", &o.epoch_ns,
+                            std::uint64_t{1} << 62) ||
+                   int_flag("--kv-keys", &o.kv_keys, 2, 100'000'000) ||
                    int_flag("--kv-read-pct", &o.kv_read_pct, 0, 100) ||
                    int_flag("--kv-cross-pct", &o.kv_cross_pct, 0, 100) ||
                    int_flag("--dest-groups", &o.dest_groups, 1, 4096) ||
@@ -294,9 +311,10 @@ int cmd_run(const CtlOptions& o) {
     const Topology& topo = boot->topo;
     const ProcessId self = boot->coordinator;
 
+    const auto epoch_ns = static_cast<std::int64_t>(o.epoch_ns);
     net::NetWorld world(topo, static_cast<std::uint64_t>(self) + 1,
-                        harness::node_net_config(boot->map.of(self),
-                                                 o.epoch_ns, o.net_shards));
+                        harness::node_net_config(boot->map.of(self), epoch_ns,
+                                                 o.net_shards));
     auto coordinator =
         std::make_unique<ctrl::Coordinator>(topo, coordinator_config(o));
     ctrl::Coordinator* coord = coordinator.get();
@@ -394,9 +412,32 @@ int cmd_run(const CtlOptions& o) {
     return 0;
 }
 
+// True (and explained on stderr) when two regions that host processes are
+// joined by a zero one-way delay. With no CPU model either, closed-loop
+// sessions would complete ops without virtual time moving, so the
+// measurement window would never close.
+bool has_zero_delay_link(const harness::TopologySpec& spec) {
+    std::vector<bool> used(static_cast<std::size_t>(spec.regions), false);
+    for (const int r : spec.region_of) used[static_cast<std::size_t>(r)] = true;
+    for (int a = 0; a < spec.regions; ++a) {
+        for (int b = 0; b < spec.regions; ++b) {
+            const auto ua = static_cast<std::size_t>(a);
+            const auto ub = static_cast<std::size_t>(b);
+            if (!used[ua] || !used[ub] || spec.owd[ua][ub] > 0) continue;
+            std::fprintf(stderr,
+                         "wbamctl sim: owd %d %d is 0; the simulator needs a "
+                         "positive one-way delay on every link, or virtual "
+                         "time never advances and the run never ends\n",
+                         a, b);
+            return true;
+        }
+    }
+    return false;
+}
+
 int cmd_sim(const CtlOptions& o) {
     const auto boot = bench_topology(o, "sim");
-    if (!boot) return 2;
+    if (!boot || has_zero_delay_link(boot->spec)) return 2;
     const Topology& topo = boot->topo;
     ctrl::CoordinatorConfig ccfg = coordinator_config(o);
     ccfg.shared_epoch = true;  // one simulated clock

@@ -21,7 +21,7 @@ constexpr Duration tick_interval = milliseconds(50);
 NodeShim::NodeShim(Topology topo, ProcessId self, ProcessId coordinator,
                    std::atomic<bool>* shutdown_flag, wal::Log* wal)
     : topo_(std::move(topo)), self_(self), coordinator_(coordinator),
-      shutdown_flag_(shutdown_flag), wal_(wal), acks_(topo_, self_) {
+      shutdown_flag_(shutdown_flag), wal_(wal) {
     WBAM_ASSERT(topo_.is_replica(self_));
     if (wal_ == nullptr) return;
     // Rebuild the pre-crash delivery sequence from our own records. The
@@ -34,9 +34,6 @@ NodeShim::NodeShim(Topology topo, ProcessId self, ProcessId coordinator,
         if (r.type != wal::tag(wal::RecordType::app_delivered)) continue;
         const MsgId id = wal::decode_app_delivered(r.body);
         if (!replayed_.insert(id).second) continue;  // tolerate duplicates
-        // A client resending an op delivered before the crash is re-acked
-        // even if the replica's replay suppresses the delivery.
-        acks_.restore(id);
         deliveries_.push_back(id);
         digest_ = fold_delivery_digest(digest_, id);
     }
@@ -66,7 +63,6 @@ void NodeShim::on_message(Context& ctx, ProcessId from,
         early_mail_.emplace_back(from, bytes);
         return;
     }
-    acks_.on_request(ctx, from, bytes);
     inner_->on_message(ctx, from, bytes);
 }
 
@@ -83,37 +79,31 @@ void NodeShim::handle_ctrl(Context& ctx, const codec::EnvelopeView& env) {
                 if (spec.workload == WorkloadKind::kv && !kv_state_)
                     kv_state_ = std::make_unique<kv::ShardState>(
                         topo_.group_of(self_), topo_.num_groups());
-                DeliverySink sink = [this](Context& c, GroupId group,
+                DeliverySink sink = [this](Context&, GroupId,
                                            const AppMessage& m) {
-                    {
-                        const std::lock_guard<std::mutex> guard(
-                            deliveries_mutex_);
-                        if (!replayed_.erase(m.id)) {
-                            deliveries_.push_back(m.id);
-                            digest_ = fold_delivery_digest(digest_, m.id);
-                            // KV workload: payloads are encoded KvOps; apply
-                            // in delivery order so state_hash proves every
-                            // replica of the group applied the same sequence.
-                            if (kv_state_) {
-                                try {
-                                    codec::Reader r(m.payload);
-                                    kv_state_->apply(kv::KvOp::decode(r));
-                                } catch (const codec::DecodeError&) {
-                                    // Undecodable payload: counted in the
-                                    // delivery digest but not applied (same
-                                    // divergence-detection either way).
-                                }
-                            }
-                            // Rides the inner replica's commit batch (the
-                            // protocols commit at their dispatch exits);
-                            // a no-op while its WAL replay re-emits.
-                            if (wal_ != nullptr)
-                                wal_->append(
-                                    wal::tag(wal::RecordType::app_delivered),
-                                    wal::encode_app_delivered(m.id));
+                    const std::lock_guard<std::mutex> guard(deliveries_mutex_);
+                    if (replayed_.erase(m.id)) return;
+                    deliveries_.push_back(m.id);
+                    digest_ = fold_delivery_digest(digest_, m.id);
+                    // KV workload: payloads are encoded KvOps; apply in
+                    // delivery order so state_hash proves every replica of
+                    // the group applied the same sequence.
+                    if (kv_state_) {
+                        try {
+                            codec::Reader r(m.payload);
+                            kv_state_->apply(kv::KvOp::decode(r));
+                        } catch (const codec::DecodeError&) {
+                            // Undecodable payload: counted in the delivery
+                            // digest but not applied (same divergence
+                            // detection either way).
                         }
                     }
-                    acks_.on_delivered(c, group, m.id);
+                    // Rides the inner replica's commit batch (the protocols
+                    // commit at their dispatch exits); a no-op while its
+                    // WAL replay re-emits.
+                    if (wal_ != nullptr)
+                        wal_->append(wal::tag(wal::RecordType::app_delivered),
+                                     wal::encode_app_delivered(m.id));
                 };
                 ReplicaConfig rc = spec.replica_config();
                 rc.wal = wal_;
@@ -133,10 +123,8 @@ void NodeShim::handle_ctrl(Context& ctx, const codec::EnvelopeView& env) {
                             wal::encode_app_delivered(deliveries_[i]));
                     wal_->commit();
                 }
-                for (auto& [from, mail] : early_mail_) {
-                    acks_.on_request(ctx, from, mail);
+                for (auto& [from, mail] : early_mail_)
                     inner_->on_message(ctx, from, mail);
-                }
                 early_mail_.clear();
             }
             ctx.send(coordinator_, encode_ctrl(CtrlMsgType::spec_ok));

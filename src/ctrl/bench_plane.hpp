@@ -13,12 +13,13 @@
 //                   arrives (the deployment driver never bakes protocol
 //                   knobs into argv). Records its delivery sequence as an
 //                   order-sensitive digest for the coordinator's
-//                   per-group agreement check. Acks a delivery to the
-//                   driver iff that driver sent this replica the request
-//                   (multicast/client_ack.hpp): in steady state only the
-//                   group's initial leader, which the driver addresses,
-//                   acks; every member that has delivered re-acks when
-//                   the driver's resend reaches it.
+//                   per-group agreement check. The replica inside acks a
+//                   delivery to the driver iff that driver sent it the
+//                   request (multicast/client_ack.hpp, applied by
+//                   ReplicaCore): in steady state only the group's
+//                   initial leader, which the driver addresses, acks;
+//                   every member that has delivered re-acks when the
+//                   driver's resend reaches it.
 //   * BenchDriver — hosts `sessions` closed-loop client sessions and a
 //                   LatencySampler; an op completes when every destination
 //                   group has acked it. Streams drained raw samples
@@ -54,7 +55,6 @@
 #include "harness/fig_report.hpp"
 #include "kvstore/shard.hpp"
 #include "kvstore/workload.hpp"
-#include "multicast/client_ack.hpp"
 #include "wal/log.hpp"
 
 namespace wbam::ctrl {
@@ -69,8 +69,10 @@ public:
     // app_delivered record per delivery (riding the protocol's commit
     // batches) and rebuilds its delivery sequence + digest from the
     // recovered records on restart, so a kill -9'd node reports the FULL
-    // run in its REPLICA_DONE digest, not just the post-restart suffix,
-    // and re-acks a resent request for any op it delivered pre-crash.
+    // run in its REPLICA_DONE digest, not just the post-restart suffix.
+    // Re-acking a resent request for an op delivered pre-crash is the
+    // inner replica's own business: it re-marks its delivered past while
+    // replaying the same WAL.
     NodeShim(Topology topo, ProcessId self, ProcessId coordinator,
              std::atomic<bool>* shutdown_flag, wal::Log* wal = nullptr);
 
@@ -103,15 +105,12 @@ private:
     // one (at-least-once above its durable watermark), the sink drops the
     // duplicate instead of double-counting it.
     std::unordered_set<MsgId> replayed_;
-    // Every message reaches the inner replica through this rule; the sink
-    // hands it each delivery.
-    ClientAckRule acks_;
 
     std::unique_ptr<Process> inner_;
     // Protocol traffic that raced ahead of our RUN_SPEC (a peer that
     // received its spec first may already be heartbeating, a driver
-    // already sending requests): replayed through acks_ into the inner
-    // process the moment it exists.
+    // already sending requests): handed to the inner process the moment
+    // it exists.
     std::vector<std::pair<ProcessId, BufferSlice>> early_mail_;
 
     mutable std::mutex deliveries_mutex_;

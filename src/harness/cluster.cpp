@@ -147,8 +147,8 @@ ReplicaConfig Cluster::replica_config_for(ProcessId p) const {
 
 std::unique_ptr<Process> Cluster::build_replica(ProcessId p,
                                                 DeliverySink sink) {
-    auto replica = make_acking_replica(cfg_.kind, topo_, p, std::move(sink),
-                                       replica_config_for(p));
+    auto replica = make_replica(cfg_.kind, topo_, p, std::move(sink),
+                                replica_config_for(p));
     if (cfg_.wrap_replica) return cfg_.wrap_replica(p, std::move(replica));
     return replica;
 }

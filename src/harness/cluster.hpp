@@ -34,17 +34,11 @@ std::optional<ProtocolKind> parse_protocol_kind(std::string_view s);
 
 // Builds one replica process of the given protocol. Defined in
 // protocol_factory.cpp; shared by the cluster harness and the benches.
+// The replica acks its own clients (multicast/client_ack.hpp) after
+// `sink` has run.
 std::unique_ptr<Process> make_replica(ProtocolKind kind, const Topology& topo,
                                       ProcessId pid, DeliverySink sink,
                                       const ReplicaConfig& cfg);
-// make_replica behind the client-ack rule (multicast/client_ack.hpp): the
-// replica acks a delivery to the client iff that client asked it, after
-// `sink` has run. Every harness replica whose clients wait for acks is
-// built this way; ctrl::NodeShim applies the rule itself.
-std::unique_ptr<Process> make_acking_replica(ProtocolKind kind,
-                                             const Topology& topo,
-                                             ProcessId pid, DeliverySink sink,
-                                             const ReplicaConfig& cfg);
 
 // A scripted client: the harness enqueues multicasts; the client routes
 // them to the current leader guess of each destination group, collects

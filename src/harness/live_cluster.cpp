@@ -47,8 +47,7 @@ LiveCluster::LiveCluster(LiveClusterConfig cfg)
 
     auto factory = [&](ProcessId p) -> std::unique_ptr<Process> {
         if (topo_.is_replica(p))
-            return make_acking_replica(cfg_.kind, topo_, p, sink,
-                                       cfg_.replica);
+            return make_replica(cfg_.kind, topo_, p, sink, cfg_.replica);
         // The multicast itself is recorded by LiveCluster::multicast before
         // it is posted (under the log lock), so the client's hook is empty.
         auto client = std::make_unique<ScriptedClient>(

@@ -19,10 +19,8 @@ class Log;
 namespace wbam {
 
 // Called by a replica protocol at the moment it delivers m. The sink may
-// send messages through ctx. Every sink that acks clients (the harness,
-// wbamd, ctrl::NodeShim) ends in ClientAckRule::on_delivered
-// (multicast/client_ack.hpp), which sends the deliver_ack only if the
-// client asked this replica.
+// send messages through ctx. The replica acks the client itself, after
+// the sink (multicast/client_ack.hpp).
 using DeliverySink =
     std::function<void(Context& ctx, GroupId group, const AppMessage& m)>;
 

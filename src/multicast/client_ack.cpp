@@ -41,10 +41,10 @@ void ClientAckRule::on_request(Context& ctx, ProcessId from,
     }
 }
 
-void ClientAckRule::on_delivered(Context& ctx, GroupId group, MsgId id) {
+void ClientAckRule::on_delivered(Context& ctx, MsgId id) {
     delivered_.mark(id);
     if (pending_.erase(id) != 0)
-        ctx.send(msg_id_client(id), encode_deliver_ack(group, id));
+        ctx.send(msg_id_client(id), encode_deliver_ack(group_, id));
 }
 
 }  // namespace wbam

@@ -1,5 +1,6 @@
-// The client-ack rule every replica-side delivery sink follows. A client
-// completes an op at the first delivery in each destination group
+// The client-ack rule every replica applies (ReplicaCore owns one, so
+// the replica acks its own clients). A client completes an op at the
+// first delivery in each destination group
 // (arXiv 1904.07171, §II), so it needs one DELIVER_ACK per group, not one
 // per replica. A replica therefore acks a delivery iff a client sent it
 // the request: a client/multicast envelope whose sender is that client.
@@ -17,7 +18,9 @@
 // members that already delivered re-ack from the bitmap, so a crashed or
 // deposed addressee still lets its ops complete. Deliveries a restarted
 // replica re-emits from its WAL were requested by nobody since the
-// restart, so replay sends no acks.
+// restart, so replay sends no acks; it marks them, and every delivery it
+// suppresses as already done, so a resent request for any op delivered
+// before the crash is re-acked from the bitmap.
 #ifndef WBAM_MULTICAST_CLIENT_ACK_HPP
 #define WBAM_MULTICAST_CLIENT_ACK_HPP
 
@@ -55,16 +58,15 @@ private:
 
 class ClientAckRule {
 public:
-    // `self` is the replica applying the rule; its group names the acks
-    // sent from the bitmap.
+    // `self` is the replica applying the rule; its group names the acks.
     ClientAckRule(const Topology& topo, ProcessId self);
 
     // Every message the replica receives passes through here before the
     // protocol sees it; only client requests are acted on.
     void on_request(Context& ctx, ProcessId from, const BufferSlice& bytes);
-    // The ack half of the delivery sink: marks id delivered and acks it
-    // if a client asked this replica for it.
-    void on_delivered(Context& ctx, GroupId group, MsgId id);
+    // Every delivery, replayed ones included: marks id delivered and
+    // acks it if a client asked this replica for it.
+    void on_delivered(Context& ctx, MsgId id);
     // Marks an id delivered before a restart (no ack).
     void restore(MsgId id) { delivered_.mark(id); }
 

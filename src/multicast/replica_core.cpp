@@ -13,13 +13,19 @@ ReplicaCore::ReplicaCore(const char* row, GcTags gc, const Topology& topo,
     : row_(row), topo_(topo), pid_(pid), g0_(topo.group_of(pid)),
       sink_(std::move(sink)), cfg_(cfg), stages_(row), gc_tags_(gc),
       delivered_floor_(topo.members(g0_),
-                       static_cast<std::size_t>(topo.quorum_size())) {
+                       static_cast<std::size_t>(topo.quorum_size())),
+      acks_(topo, pid) {
     WBAM_ASSERT_MSG(g0_ != invalid_group, "a replica must be in a group");
 }
 
 void ReplicaCore::deliver(Context& ctx, Timestamp gts, const AppMessage& m) {
     gc_queue_.push(gts, m.id);
-    if (gts <= max_delivered_gts_) return;
+    if (gts <= max_delivered_gts_) {
+        // Delivered already (a WAL replay or a re-announcement): the
+        // bitmap learns it, and no request is waiting for it.
+        acks_.on_delivered(ctx, m.id);
+        return;
+    }
     max_delivered_gts_ = gts;
     // Durable before the handler's group-commit releases any message (and
     // before the app ever acks): replay re-emits exactly the deliveries
@@ -29,6 +35,7 @@ void ReplicaCore::deliver(Context& ctx, Timestamp gts, const AppMessage& m) {
                          wal::encode_watermark(max_delivered_gts_));
     stages_.record(obs::Stage::delivered, m.submit_ts, ctx.now());
     sink_(ctx, g0_, m);
+    acks_.on_delivered(ctx, m.id);
     drain_gc(gc_floor_, gc_steps_per_delivery);
 }
 

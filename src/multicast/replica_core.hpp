@@ -1,14 +1,17 @@
-// The replica scaffold every ordering row builds on (wbcast, ftskeen and
-// fastcast): the machinery around a row's ordering logic, once.
+// The replica scaffold every ordering row builds on (skeen, wbcast,
+// ftskeen and fastcast): the machinery around a row's ordering logic, once.
 //
+//  * The client-ack rule (multicast/client_ack.hpp): every message passes
+//    through it before the row sees it, and every delivery, replayed ones
+//    included, marks it, so the replica acks its own clients.
 //  * The handler wrapper. With batching or a WAL attached, each handler
 //    runs under a BatchingContext whose flush point doubles as the WAL
 //    group-commit point: every record the handler appended is durable
 //    (one fsync per batch in group_commit mode) before any message it
 //    produced leaves the process.
 //  * The delivery point: compaction queue, watermark, durable watermark
-//    record, `delivered` stage point and sink, in that order, then at
-//    most gc_steps_per_delivery steps of compaction debt.
+//    record, `delivered` stage point, sink and client ack, in that order,
+//    then at most gc_steps_per_delivery steps of compaction debt.
 //  * WAL pass 1: the last durable watermark, restored before a row
 //    replays its own records so that everything delivered before the
 //    crash is recognised as delivered.
@@ -29,6 +32,7 @@
 
 #include "common/batching.hpp"
 #include "multicast/api.hpp"
+#include "multicast/client_ack.hpp"
 #include "multicast/gc_floor.hpp"
 #include "obs/stage.hpp"
 #include "wal/log.hpp"
@@ -45,6 +49,7 @@ class ReplicaCore : public Process {
 public:
     void on_message(Context& ctx, ProcessId from,
                     const BufferSlice& bytes) final {
+        acks_.on_request(ctx, from, bytes);
         run_handler(ctx, [&](Context& c) { dispatch_message(c, from, bytes); });
     }
     void on_timer(Context& ctx, TimerId id) final {
@@ -90,7 +95,8 @@ protected:
     // the `delivered` stage, hands m to the sink and compacts at most
     // gc_steps_per_delivery entries at or below the floor. Deliveries
     // happen in strictly increasing gts order at each member, so the
-    // watermark is also the dedupe.
+    // watermark is also the dedupe. Either way the ack rule learns that m
+    // is delivered here, and acks it if a client is waiting.
     void deliver(Context& ctx, Timestamp gts, const AppMessage& m);
 
     // WAL pass 1: the highest durable watermark.
@@ -128,6 +134,9 @@ protected:
     Timestamp max_delivered_gts_;
     DeliveredFloor delivered_floor_;  // leader side: members' reports
     CompactionQueue gc_queue_;        // delivered here, payload still held
+    // A WAL replay that restores a delivery without passing deliver()
+    // marks it here (acks_.restore), so a resent request is re-acked.
+    ClientAckRule acks_;
 
 private:
     template <class Body>

@@ -30,6 +30,17 @@ namespace wbam::net {
 
 namespace {
 
+// Redial backoff after a failed or dropped connection: doubles from the
+// minimum, capped at the maximum, reset by the first successful write.
+constexpr Duration dial_backoff_min = milliseconds(10);
+constexpr Duration dial_backoff_max = seconds(1);
+// Shutdown drain bound: how long to keep flushing outbound queues.
+constexpr Duration drain_wait = milliseconds(500);
+// Delayed-ack bound: a cumulative ack waits at most this long for a data
+// frame to piggyback on before it is flushed on its own (still inside a
+// coalesced writev, never a dedicated syscall).
+constexpr Duration ack_delay = microseconds(500);
+
 void set_nonblocking(int fd) {
     const int flags = ::fcntl(fd, F_GETFL, 0);
     ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
@@ -54,9 +65,11 @@ struct NetWorld::Conn {
     bool handoff = false;     // inbound: the affinity owner is another loop
     // The dialling process's boot nonce from its HELLO (inbound only).
     std::uint64_t peer_incarnation = 0;
+    // Receive side, bounded by default_max_frame (net/frame.hpp).
     FrameReassembler in;
     // Send side: the coalescing queue owns the channel sequence counter
-    // and the unacked retransmit buffer (net/send_queue.hpp).
+    // and the unacked retransmit buffer (net/send_queue.hpp); each writev
+    // carries at most FlushLimits' default 64 frames / 1 MiB.
     SendQueue q;
     // Piggybacked cumulative-ack state of the reverse channel
     // (remote -> local): what we owe the peer, and the deadline by which
@@ -71,8 +84,6 @@ struct NetWorld::Conn {
     Duration backoff = 0;
     TimePoint retry_at = 0;
 
-    Conn(std::size_t max_frame, FlushLimits limits)
-        : in(max_frame), q(limits) {}
 };
 
 // --- per-shard event loop ----------------------------------------------------
@@ -343,7 +354,7 @@ void NetWorld::shutdown() {
     draining_.store(true);
     for (const auto& l : loops_) l->wakefd.wake();
     const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::nanoseconds(cfg_.drain_wait);
+                          std::chrono::nanoseconds(drain_wait);
     std::uint64_t last_activity = ~std::uint64_t{0};
     int quiet = 0;
     while (quiet < 2 && std::chrono::steady_clock::now() < deadline) {
@@ -397,13 +408,11 @@ NetWorld::Conn* NetWorld::Loop::out_conn(ProcessId from, ProcessId to) {
     const auto key = std::make_pair(from, to);
     const auto it = out_by_pair.find(key);
     if (it != out_by_pair.end()) return it->second;
-    auto conn = std::make_unique<Conn>(
-        w->cfg_.max_frame,
-        FlushLimits{w->cfg_.flush_max_iov, w->cfg_.flush_max_bytes});
+    auto conn = std::make_unique<Conn>();
     conn->local = from;
     conn->remote = to;
     conn->outbound = true;
-    conn->backoff = w->cfg_.dial_backoff_min;
+    conn->backoff = dial_backoff_min;
     conn->retry_at = w->now();  // dial on the next loop turn
     Conn* raw = conn.get();
     conns.push_back(std::move(conn));
@@ -476,8 +485,8 @@ void NetWorld::Loop::conn_dead(Conn& c) {
                            w->now());
     }
     c.q.requeue_unacked();
-    c.backoff = std::min(std::max(c.backoff * 2, w->cfg_.dial_backoff_min),
-                         w->cfg_.dial_backoff_max);
+    c.backoff = std::min(std::max(c.backoff * 2, dial_backoff_min),
+                         dial_backoff_max);
     c.retry_at = w->now() + c.backoff;
 }
 
@@ -494,7 +503,7 @@ void NetWorld::Loop::flush_conn(Conn& c) {
     bool progressed = false;
     const SendQueue::FlushStatus st = c.q.flush(c.fd, &progressed);
     // First successful write on a dialled connection: reset the backoff.
-    if (progressed && c.outbound) c.backoff = w->cfg_.dial_backoff_min;
+    if (progressed && c.outbound) c.backoff = dial_backoff_min;
     if (st == SendQueue::FlushStatus::error) conn_dead(c);
 }
 
@@ -508,7 +517,7 @@ void NetWorld::Loop::note_ack(ProcessId local, ProcessId remote,
     Conn* back = out_conn(local, remote);
     if (!back->ack_pending) {
         back->ack_pending = true;
-        back->ack_due = w->now() + w->cfg_.ack_delay;
+        back->ack_due = w->now() + ack_delay;
     }
     back->ack_upto = std::max(back->ack_upto, upto);
 }
@@ -539,9 +548,7 @@ void NetWorld::Loop::accept_ready(Host& h) {
         }
         set_nonblocking(fd);
         set_nodelay(fd);
-        auto conn = std::make_unique<Conn>(
-            w->cfg_.max_frame,
-            FlushLimits{w->cfg_.flush_max_iov, w->cfg_.flush_max_bytes});
+        auto conn = std::make_unique<Conn>();
         conn->local = h.id;
         conn->outbound = false;
         conn->fd = fd;
@@ -911,27 +918,8 @@ void NetWorld::Loop::run() {
         }
         if (draining) timeout_ms = std::min(timeout_ms, 5);
 
-        int ready;
-        if (!draining && w->cfg_.busy_poll > 0 && timeout_ms > 0) {
-            // Busy-poll window: spin on zero-timeout polls (the wake fd is
-            // in the set, so mailbox pushes land too), then block for the
-            // remainder of the deadline.
-            const auto spin_end = std::chrono::steady_clock::now() +
-                                  std::chrono::nanoseconds(w->cfg_.busy_poll);
-            while ((ready = ::poll(pfds.data(),
-                                   static_cast<nfds_t>(pfds.size()), 0)) == 0) {
-                if (std::chrono::steady_clock::now() >= spin_end) {
-                    ready = ::poll(pfds.data(),
-                                   static_cast<nfds_t>(pfds.size()),
-                                   timeout_ms);
-                    break;
-                }
-                std::this_thread::yield();
-            }
-        } else {
-            ready = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()),
-                           timeout_ms);
-        }
+        const int ready = ::poll(pfds.data(),
+                                 static_cast<nfds_t>(pfds.size()), timeout_ms);
         if (ready < 0 && errno != EINTR) return;  // unrecoverable
 
         if (ready > 0) {

@@ -47,13 +47,13 @@
 // that the simulator provides (and that e.g. wbcast's fire-once
 // DELIVER plane depends on). Cumulative ACKs never trigger their own
 // write: they piggyback on the next coalesced flush of the reverse
-// connection, or ride a short delayed-ack timer (NetConfig::ack_delay)
-// when no data is flowing.
+// connection, or ride a short delayed-ack timer (500 µs) when no data is
+// flowing.
 //
 // Graceful-shutdown contract: shutdown() first DRAINS — frames already
 // received and local sends already queued are delivered, and outbound
-// queues are flushed to the kernel (bounded by NetConfig::drain_wait) —
-// then joins every loop thread. Quiescence is detected across shards: a
+// queues are flushed to the kernel (for at most 500 ms) — then joins
+// every loop thread. Quiescence is detected across shards: a
 // coordinator watches per-loop idle flags plus a global activity counter
 // until nothing moved for two consecutive checks. Pending timers do not
 // fire; messages sent while draining are flushed best-effort. Tests
@@ -80,11 +80,6 @@ struct NetConfig {
     // Address this world's listeners bind (dial targets come from the
     // ClusterMap).
     std::string bind_host = "127.0.0.1";
-    Duration dial_backoff_min = milliseconds(10);
-    Duration dial_backoff_max = seconds(1);
-    std::size_t max_frame = default_max_frame;
-    // Shutdown drain bound: how long to keep flushing outbound queues.
-    Duration drain_wait = milliseconds(500);
     // Clock epoch of Context::now(). Worlds that cooperate in one process
     // (e.g. a loopback test cluster) share one epoch so latencies measured
     // across worlds are coherent; the default (time_point{}) means "this
@@ -93,16 +88,6 @@ struct NetConfig {
     // Event-loop shard count: 0 = auto (hardware concurrency, clamped to
     // [1, 8]); explicit values honored up to 64. See net/shard.hpp.
     int shards = 0;
-    // Coalescing flush budget per writev: iovec entries and bytes.
-    int flush_max_iov = 64;
-    std::size_t flush_max_bytes = 1 << 20;
-    // Delayed-ack bound: a cumulative ack waits at most this long for a
-    // data frame to piggyback on before it is flushed on its own (still
-    // inside a coalesced writev, never a dedicated syscall).
-    Duration ack_delay = microseconds(500);
-    // Busy-poll window: loops spin (poll timeout 0) this long before
-    // blocking, trading CPU for latency. 0 = always block.
-    Duration busy_poll = 0;
 };
 
 class NetWorld {

@@ -244,8 +244,10 @@ void RsmReplica<Ext>::replay_wal(Context& ctx) {
     // wait for DELIVER_FLOOR) still holds them as undelivered: retire them.
     for (auto it = committed_by_gts_.begin();
          it != committed_by_gts_.end() && it->first <= max_delivered_gts_;
-         it = committed_by_gts_.erase(it))
+         it = committed_by_gts_.erase(it)) {
         gc_queue_.push(it->first, it->second);
+        acks_.restore(it->second);
+    }
     log::info(row_, " p", pid_, " replayed ", log.recovered().size(),
               " wal records, watermark ", to_string(max_delivered_gts_));
 }

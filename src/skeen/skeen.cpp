@@ -5,18 +5,32 @@
 
 namespace wbam::skeen {
 
-SkeenReplica::SkeenReplica(const Topology& topo, GroupId g0, DeliverySink sink,
-                           ReplicaConfig cfg)
-    : topo_(topo), g0_(g0), sink_(std::move(sink)), cfg_(cfg) {
+namespace {
+
+ReplicaConfig without_wal(ReplicaConfig cfg) {
+    cfg.wal = nullptr;
+    return cfg;
+}
+
+}  // namespace
+
+SkeenReplica::SkeenReplica(const Topology& topo, ProcessId pid,
+                           DeliverySink sink, ReplicaConfig cfg)
+    : ReplicaCore("skeen",
+                  GcTags{static_cast<std::uint8_t>(MsgType::gc_status),
+                         static_cast<std::uint8_t>(MsgType::gc_prune)},
+                  topo, pid, std::move(sink), without_wal(cfg)) {
     WBAM_ASSERT_MSG(topo_.group_size() == 1,
                     "Skeen's protocol assumes singleton reliable groups");
 }
 
 void SkeenReplica::on_start(Context& ctx) {
     retry_timer_ = ctx.set_timer(cfg_.retry_interval);
+    arm_gc(ctx);
 }
 
-void SkeenReplica::on_message(Context& ctx, ProcessId, const BufferSlice& bytes) {
+void SkeenReplica::dispatch_message(Context& ctx, ProcessId from,
+                                    const BufferSlice& bytes) {
     const codec::EnvelopeView env(bytes);
     switch (env.module) {
         case codec::Module::client: {
@@ -29,7 +43,14 @@ void SkeenReplica::on_message(Context& ctx, ProcessId, const BufferSlice& bytes)
         case codec::Module::proto: {
             if (env.type != static_cast<std::uint8_t>(MsgType::propose)) return;
             codec::Reader body = env.body;
-            handle_propose(ctx, ProposeMsg::decode(body));
+            const ProposeMsg p = ProposeMsg::decode(body);
+            // A PROPOSE speaks for its sender's group, which must be a
+            // destination of a message addressed to us; anything else
+            // could complete `proposals` without our own.
+            if (p.from_group != topo_.group_of(from) ||
+                !p.msg.addressed_to(g0_) || !p.msg.addressed_to(p.from_group))
+                return;
+            handle_propose(ctx, p);
             return;
         }
         default:
@@ -45,7 +66,7 @@ void SkeenReplica::send_propose(Context& ctx, const Entry& e) {
 }
 
 void SkeenReplica::handle_multicast(Context& ctx, const AppMessage& m) {
-    WBAM_ASSERT_MSG(m.addressed_to(g0_), "MULTICAST routed to a non-destination");
+    if (!m.addressed_to(g0_)) return;
     Entry& e = entries_[m.id];
     e.last_activity = ctx.now();
     if (e.phase == Phase::start) {
@@ -62,7 +83,8 @@ void SkeenReplica::handle_multicast(Context& ctx, const AppMessage& m) {
     }
     // Duplicate MULTICAST (client retry): re-send PROPOSE with the stored
     // timestamp; receivers treat repeats idempotently.
-    if (e.phase != Phase::committed || !e.delivered) send_propose(ctx, e);
+    if (e.phase != Phase::committed || e.gts > max_delivered_gts_)
+        send_propose(ctx, e);
 }
 
 void SkeenReplica::handle_propose(Context& ctx, const ProposeMsg& p) {
@@ -93,30 +115,31 @@ void SkeenReplica::try_deliver(Context& ctx) {
     // Line 17 of Figure 1: deliver committed messages in global-timestamp
     // order, as long as no PROPOSED message could still commit below them.
     while (!committed_by_gts_.empty()) {
-        const auto& [gts, id] = *committed_by_gts_.begin();
+        const auto [gts, id] = *committed_by_gts_.begin();
         if (!pending_by_lts_.empty() && pending_by_lts_.begin()->first <= gts)
             break;
-        Entry& e = entries_.at(id);
-        e.delivered = true;
+        committed_by_gts_.erase(committed_by_gts_.begin());
         log::debug("skeen p", ctx.self(), " delivers msg ", id, " gts ",
                    to_string(gts));
-        stages_.record(obs::Stage::delivered, e.msg.submit_ts, ctx.now());
-        sink_(ctx, g0_, e.msg);
-        // Delivered entries are never re-sent (processes are reliable in
-        // Skeen's model): drop the payload so the retained entry stops
-        // pinning the wire envelope it was decoded from.
-        e.msg.payload = BufferSlice{};
-        committed_by_gts_.erase(committed_by_gts_.begin());
+        deliver(ctx, gts, entries_.at(id).msg);
     }
 }
 
-void SkeenReplica::on_timer(Context& ctx, TimerId id) {
+GcStep SkeenReplica::compact_entry(MsgId id) {
+    // Delivered entries are never re-sent (processes are reliable in
+    // Skeen's model): drop the payload so the retained entry stops
+    // pinning the wire envelope it was decoded from.
+    entries_.at(id).msg.payload = BufferSlice{};
+    return GcStep::compacted;
+}
+
+void SkeenReplica::dispatch_timer(Context& ctx, TimerId id) {
     if (id != retry_timer_) return;
     retry_timer_ = ctx.set_timer(cfg_.retry_interval);
     // Message recovery: if the multicasting client crashed between sends,
     // some destinations may never have received m; re-multicast it.
-    for (auto& [mid, e] : entries_) {
-        if (e.phase != Phase::proposed) continue;
+    for (const auto& [lts, mid] : pending_by_lts_) {
+        Entry& e = entries_.at(mid);
         if (ctx.now() - e.last_activity < cfg_.retry_interval) continue;
         e.last_activity = ctx.now();
         const Buffer wire = encode_multicast_request(e.msg);

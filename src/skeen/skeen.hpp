@@ -10,13 +10,13 @@
 #include <map>
 #include <unordered_map>
 
-#include "multicast/api.hpp"
-#include "obs/stage.hpp"
+#include "multicast/replica_core.hpp"
 
 namespace wbam::skeen {
 
-// Wire types within codec::Module::proto.
-enum class MsgType : std::uint8_t { propose = 0 };
+// Wire types within codec::Module::proto. The GC pair is the scaffold's
+// (multicast/replica_core.hpp); a group of one never sends it.
+enum class MsgType : std::uint8_t { propose = 0, gc_status = 1, gc_prune = 2 };
 
 struct ProposeMsg {
     AppMessage msg;  // full message: receivers may see PROPOSE before MULTICAST
@@ -37,16 +37,14 @@ struct ProposeMsg {
     }
 };
 
-class SkeenReplica final : public Process {
+class SkeenReplica final : public ReplicaCore {
 public:
     // The topology must consist of singleton groups (group_size == 1).
-    SkeenReplica(const Topology& topo, GroupId g0, DeliverySink sink,
+    // Skeen's processes are reliable: ReplicaConfig::wal is not used.
+    SkeenReplica(const Topology& topo, ProcessId pid, DeliverySink sink,
                  ReplicaConfig cfg = {});
 
     void on_start(Context& ctx) override;
-    void on_message(Context& ctx, ProcessId from,
-                    const BufferSlice& bytes) override;
-    void on_timer(Context& ctx, TimerId id) override;
 
     // Introspection for tests.
     std::uint64_t clock() const { return clock_; }
@@ -62,21 +60,21 @@ private:
         Phase phase = Phase::start;
         Timestamp lts;
         Timestamp gts;
-        bool delivered = false;
         std::map<GroupId, Timestamp> proposals;
         TimePoint last_activity = 0;
     };
+
+    void dispatch_message(Context& ctx, ProcessId from,
+                          const BufferSlice& bytes) override;
+    void dispatch_timer(Context& ctx, TimerId id) override;
+    // In a group of one the delivered floor is our own watermark.
+    void gc_round(Context& ctx) override { lead_gc_round(ctx); }
+    GcStep compact_entry(MsgId id) override;
 
     void handle_multicast(Context& ctx, const AppMessage& m);
     void handle_propose(Context& ctx, const ProposeMsg& p);
     void try_deliver(Context& ctx);
     void send_propose(Context& ctx, const Entry& e);
-
-    Topology topo_;
-    GroupId g0_;
-    DeliverySink sink_;
-    ReplicaConfig cfg_;
-    obs::StageRecorder stages_{"skeen"};
 
     std::uint64_t clock_ = 0;
     std::unordered_map<MsgId, Entry> entries_;

@@ -825,6 +825,11 @@ void WbcastReplica::replay_wal(Context&) {
         entries_.at(it->second).deliver_sent = true;
         it = committed_by_gts_.erase(it);
     }
+    // Every commit at or below the watermark, stubs included, was
+    // delivered before the crash: a resent request for it is re-acked.
+    for (const auto& [id, e] : entries_)
+        if (e.phase == Phase::committed && e.gts <= max_delivered_gts_)
+            acks_.restore(id);
     // The highest durable floor compacts every delivered entry at or below
     // it, so the restart comes back with the stubs it had (and more, if
     // it crashed owing compaction). Logs with per-entry stub records (no

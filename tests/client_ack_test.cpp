@@ -3,9 +3,10 @@
 // DELIVER_ACK per (op, destination group) on every protocol row), the two
 // resend branches (a member that already delivered re-acks from the
 // bitmap; a member asked before delivering acks at delivery), a
-// WAL-restarted NodeShim (replay acks nobody, a resend is re-acked from
-// the bitmap rebuilt out of app_delivered records), and the paged bitmap
-// itself.
+// WAL-restarted replica, behind NodeShim and through
+// Cluster::restart_replica (replay acks nobody, a resend is re-acked from
+// the bitmap the replica rebuilt while replaying its WAL), and the paged
+// bitmap itself.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -354,7 +355,86 @@ INSTANTIATE_TEST_SUITE_P(FaultTolerantProtocols, ShimRestartAckTest,
                                            ProtocolKind::fastcast),
                          [](const auto& info) { return param_name(info.param); });
 
-// --- (e) the paged bitmap --------------------------------------------------
+// --- (e) a harness replica across a WAL restart ---------------------------
+
+// The drill of (d) through Cluster::restart_replica, without NodeShim and
+// its app_delivered records: the replica re-marks its delivered past
+// while it replays its own WAL, so a resend of a pre-crash op is re-acked
+// at once, though replay suppresses the op's delivery.
+class HarnessRestartAckTest : public ::testing::TestWithParam<ProtocolKind> {};
+
+TEST_P(HarnessRestartAckTest, ResentPreCrashOpIsReackedFromTheReplay) {
+    ClusterConfig cfg = fault_config(GetParam());
+    const Topology topo(cfg.groups, cfg.group_size, cfg.clients);
+    const std::string dir = testing::TempDir() + "client_ack_harness_" +
+                            param_name(GetParam());
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    auto path = [&](ProcessId p) {
+        return dir + "/p" + std::to_string(p) + ".wal";
+    };
+    std::vector<std::unique_ptr<wal::Log>> wals;
+    for (ProcessId p = 0; p < topo.num_replicas(); ++p)
+        wals.push_back(std::make_unique<wal::Log>(path(p),
+                                                  wal::SyncMode::group_commit));
+    cfg.tune_replica = [&wals](ProcessId p, ReplicaConfig& rc) {
+        rc.wal = wals[static_cast<std::size_t>(p)].get();
+    };
+    {
+        Cluster c(cfg);
+        const ProcessId victim = topo.member(0, 1);
+        const ProcessId client = topo.client(0);
+        std::vector<MsgId> ops;
+        for (int i = 0; i < 20; ++i)
+            ops.push_back(c.multicast_at(milliseconds(20 + 5 * i), 0, {0}));
+        c.world().at(milliseconds(200), [&] { c.world().crash(victim); });
+        c.world().at(milliseconds(250), [&] {
+            auto& log = wals[static_cast<std::size_t>(victim)];
+            log->discard_pending();
+            log.reset();
+            log = std::make_unique<wal::Log>(path(victim),
+                                             wal::SyncMode::group_commit);
+            c.restart_replica(victim);
+        });
+        const TimePoint resend_at = milliseconds(350);
+        c.world().at(resend_at, [&] {
+            for (const MsgId id : {ops.front(), ops.back()})
+                c.world().send_from(
+                    client, victim,
+                    encode_multicast_request(make_app_message(id, {0}, {})));
+        });
+        c.run_for(milliseconds(500));
+
+        const auto result = c.check();
+        EXPECT_TRUE(result.ok()) << result.summary();
+        for (const MsgId id : ops) {
+            const TimePoint at = delivered_at(c, victim, id);
+            EXPECT_GE(at, 0);
+            EXPECT_LT(at, milliseconds(200)) << "op " << id;
+        }
+        // Replay acks nobody; each resent op is acked once, on arrival.
+        std::map<MsgId, int> reacks;
+        for (const sim::SendRecord& rec : c.world().send_trace()) {
+            if (!is_deliver_ack(rec) || rec.from != victim) continue;
+            EXPECT_GE(rec.at, resend_at) << "replay acked op " << rec.about;
+            EXPECT_LE(rec.at, resend_at + cfg.delta) << "op " << rec.about;
+            ++reacks[rec.about];
+        }
+        EXPECT_EQ(reacks[ops.front()], 1);
+        EXPECT_EQ(reacks[ops.back()], 1);
+        EXPECT_EQ(reacks.size(), 2u);
+    }
+    wals.clear();
+    std::filesystem::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(FaultTolerantProtocols, HarnessRestartAckTest,
+                         ::testing::Values(ProtocolKind::wbcast,
+                                           ProtocolKind::ftskeen,
+                                           ProtocolKind::fastcast),
+                         [](const auto& info) { return param_name(info.param); });
+
+// --- (f) the paged bitmap --------------------------------------------------
 
 TEST(DeliveredBitmapTest, OutOfOrderMarks) {
     DeliveredBitmap b;

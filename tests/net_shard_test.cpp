@@ -517,40 +517,6 @@ TEST(NetShardTest, ReconnectRetransmitsOnNonPrimaryShard) {
     EXPECT_EQ(w.completed.load(), w.target());
 }
 
-TEST(NetShardTest, BusyPollWindowStillDeliversEverything) {
-    PairedWorlds w(2);
-    // Rebuild with busy-poll enabled: same contract, spinnier loops.
-    NetConfig cfg;
-    cfg.shards = 2;
-    cfg.busy_poll = microseconds(200);
-    cfg.epoch = std::chrono::steady_clock::now();
-    std::atomic<int> completed{0};
-    const Topology topo(1, 1, 3);
-    NetWorld ping(topo, 7, cfg);
-    NetWorld echo(topo, 8, cfg);
-    ping.add_process(0, std::make_unique<Pinger>(1, 100, 4, &completed));
-    ping.add_process(2, std::make_unique<Pinger>(3, 100, 4, &completed));
-    echo.add_process(1, std::make_unique<Echo>());
-    echo.add_process(3, std::make_unique<Echo>());
-    ClusterMap map;
-    map.endpoints = {{"127.0.0.1", ping.port_of(0)},
-                     {"127.0.0.1", echo.port_of(1)},
-                     {"127.0.0.1", ping.port_of(2)},
-                     {"127.0.0.1", echo.port_of(3)}};
-    ping.set_cluster(map);
-    echo.set_cluster(map);
-    echo.start();
-    ping.start();
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (completed.load() < 200 &&
-           std::chrono::steady_clock::now() < deadline)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    ping.shutdown();
-    echo.shutdown();
-    EXPECT_EQ(completed.load(), 200);
-}
-
 // --- one read per readiness event, end to end --------------------------------
 
 // Records every payload it receives, in arrival order.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/cluster.hpp"
+#include "skeen/skeen.hpp"
 
 namespace wbam {
 namespace {
@@ -129,6 +130,43 @@ TEST(SkeenTest, ClientRetryDoesNotDuplicateDelivery) {
     c.run_for(milliseconds(100));
     EXPECT_TRUE(c.check().ok()) << c.check().summary();
     EXPECT_EQ(c.log().total_deliveries(), 2u);  // Integrity held
+}
+
+// Input no correct client or replica sends is dropped, not asserted on:
+// a client MULTICAST that reaches a non-destination, and PROPOSEs that
+// could complete a message's proposals without this process's own (the
+// message is not addressed to us, or the proposing group is not one of
+// its destinations). Real traffic around them still satisfies the
+// specification, and nobody delivers the forged messages.
+TEST(SkeenTest, MisroutedRequestsAndProposalsAreDropped) {
+    Cluster c(skeen_config(3, 1));
+    const ProcessId client = c.topo().client(0);
+    const ProcessId p0 = c.topo().member(0, 0);
+    const ProcessId p2 = c.topo().member(2, 0);
+    auto forged = [client](std::uint32_t seq, std::vector<GroupId> dests) {
+        return make_app_message(make_msg_id(client, 1000 + seq),
+                                std::move(dests), Bytes{0x66});
+    };
+    auto propose = [](const AppMessage& m, GroupId from_group) {
+        return codec::encode_envelope(
+            codec::Module::proto,
+            static_cast<std::uint8_t>(skeen::MsgType::propose), m.id,
+            skeen::ProposeMsg{m, from_group, Timestamp{1, from_group}});
+    };
+    const MsgId before = c.multicast_at(0, 0, {0, 2});
+    c.world().at(milliseconds(5), [&] {
+        c.world().send_from(client, p2,
+                            encode_multicast_request(forged(0, {0})));
+        c.world().send_from(p0, p2, propose(forged(1, {0}), 0));
+        c.world().send_from(p0, p2, propose(forged(2, {2}), 0));
+    });
+    const MsgId after = c.multicast_at(milliseconds(10), 0, {0, 1, 2});
+    c.run_for(milliseconds(100));
+
+    EXPECT_TRUE(c.check().ok()) << c.check().summary();
+    EXPECT_EQ(c.log().total_deliveries(), 5u);
+    EXPECT_TRUE(c.client(0).fully_acked(before));
+    EXPECT_TRUE(c.client(0).fully_acked(after));
 }
 
 // Property sweep: random workloads across seeds and shapes must satisfy
