@@ -3,7 +3,7 @@
 //   wbamctl run --topology=FILE [--proto=wbcast] [--dest-groups=1]
 //               [--sessions=4] [--payload=20] [--warmup-ms=500]
 //               [--measure-ms=3000] [--sample-ms=250] [--seed=1]
-//               [--batching] [--epoch-ns=T] [--net-shards=N]
+//               [--epoch-ns=T] [--net-shards=N]
 //               [--deadline-ms=120000]
 //               [--workload=bytes|kv] [--kv-keys=1000] [--kv-theta=0.99]
 //               [--kv-read-pct=50] [--kv-cross-pct=10]
@@ -67,7 +67,6 @@ struct CtlOptions {
     int sample_ms = 250;
     int deadline_ms = 120'000;
     std::uint64_t seed = 1;
-    bool batching = false;
     std::uint64_t epoch_ns = 0;  // at most 2^62, as wbamd takes it
     // Scale-out KV workload
     ctrl::WorkloadKind workload = ctrl::WorkloadKind::bytes;
@@ -194,8 +193,6 @@ bool parse_flags(int argc, char** argv, int first, CtlOptions& o) {
                    int_flag("--base-port", &o.base_port, 1, 65535) ||
                    dur_flag("--local", &o.local) ||
                    dur_flag("--cross", &o.cross)) {
-        } else if (std::strcmp(argv[i], "--batching") == 0) {
-            o.batching = true;
         } else if (std::strcmp(argv[i], "-v") == 0) {
             o.verbose = true;
         } else {
@@ -216,7 +213,6 @@ ctrl::BenchSpec spec_from(const CtlOptions& o) {
     spec.measure = milliseconds(o.measure_ms);
     spec.sample_interval = milliseconds(o.sample_ms);
     spec.seed = o.seed;
-    spec.batching_enabled = o.batching;
     spec.net_shards = static_cast<std::uint32_t>(o.net_shards);
     spec.workload = o.workload;
     spec.kv_keys = static_cast<std::uint32_t>(o.kv_keys);

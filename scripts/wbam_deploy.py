@@ -349,8 +349,6 @@ def launch_cluster(args, layout, topo_path, exec_in_region, outdir):
            f"--warmup-ms={args.warmup_ms}", f"--measure-ms={args.measure_ms}",
            f"--deadline-ms={run_ms}", f"--fig={args.fig}",
            f"--net-shards={args.net_shards}", f"--out={args.out}"]
-    if args.batching:
-        ctl.append("--batching")
     if metrics_dir:
         ctl.append(f"--metrics-dump="
                    f"{os.path.join(metrics_dir, 'metrics_merged.json')}")
@@ -594,7 +592,6 @@ def main():
         m.add_argument("--warmup-ms", type=int, default=500)
         m.add_argument("--measure-ms", type=int, default=3000)
         m.add_argument("--deadline-slack-ms", type=int, default=30000)
-        m.add_argument("--batching", action="store_true")
         m.add_argument("--net-shards", type=int, default=0,
                        help="transport event-loop shards per process "
                             "(0 = auto: hardware concurrency)")

@@ -13,15 +13,11 @@
 //   EnvelopeView/Reader parse in place, and kept subslices (including
 //   decoded AppMessage payloads) share the whole allocation. Long-lived
 //   state detaches via BufferSlice::compact()/to_bytes().
-// * Module::batch frames concatenate whole envelopes:
-//     [batch:u8][0:u8][0 varint][count:u32][count × (len varint, envelope)]
-//   Runtimes unwrap them at the receiver, dispatching each sub-envelope
-//   as its own zero-copy subslice of the frame. Batches never nest.
+// * Every send is one envelope in one frame. Module::batch is a retired
+//   tag: no sender produces it, and no row handles it, so an envelope
+//   carrying it is dropped like any other message for no protocol.
 #ifndef WBAM_CODEC_WIRE_HPP
 #define WBAM_CODEC_WIRE_HPP
-
-#include <optional>
-#include <vector>
 
 #include "codec/fields.hpp"
 #include "codec/reader.hpp"
@@ -36,7 +32,7 @@ enum class Module : std::uint8_t {
     paxos = 2,   // intra-group consensus used by black-box baselines
     client = 3,  // client requests and delivery acknowledgements
     app = 4,     // application payloads layered over multicast (kv store)
-    batch = 5,   // runtime-level frame of coalesced envelopes (see above)
+    batch = 5,   // retired: formerly a frame of coalesced envelopes
     ctrl = 6,    // distributed-benchmark control plane (src/ctrl/)
 };
 
@@ -81,36 +77,23 @@ private:
     }
 };
 
-// --- batch frames -----------------------------------------------------------
+// --- the retired batch frame ------------------------------------------------
+//
+// Nothing produces a Module::batch frame any more. The two readers below
+// stay because the repository benchmark's send probe
+// (perfbench/src/probe.cpp) still compiles against them; with no batch
+// frame on the wire it counts one envelope per send. The old format:
+//     [batch:u8][0:u8][0 varint][count:u32][count × (len varint, envelope)]
 
-// Freezes `entries` into one Module::batch frame (the format documented at
-// the top of this header; for_each_batched below is its inverse). Framing
-// necessarily duplicates the entry bytes into the contiguous image, which
-// is reported to buffer_stats like every other genuine payload copy.
-inline Buffer encode_batch_frame(const std::vector<BufferSlice>& entries) {
-    Writer w;
-    w.u8(static_cast<std::uint8_t>(Module::batch));
-    w.u8(0);
-    w.varint(invalid_msg);
-    const Writer::Mark count_at = w.reserve_u32();
-    for (const BufferSlice& s : entries) {
-        w.varint(s.size());
-        w.raw(s.data(), s.size());
-        buffer_stats::note_copy(s.size());
-    }
-    w.patch_u32(count_at, static_cast<std::uint32_t>(entries.size()));
-    return std::move(w).take_buffer();
-}
-
-// Cheap peek: is this wire image a Module::batch frame?
+// Cheap peek: does this wire image carry the retired batch tag?
 inline bool is_batch_frame(const BufferSlice& bytes) {
     return !bytes.empty() &&
            bytes.data()[0] == static_cast<std::uint8_t>(Module::batch);
 }
 
-// Invokes fn(BufferSlice) for each enclosed envelope, in append order. The
-// subslices alias the frame's storage. Throws DecodeError on a malformed
-// frame (including nested batches).
+// Invokes fn(BufferSlice) for each envelope of a batch frame, in order.
+// The subslices alias the frame's storage. Throws DecodeError on a
+// malformed frame (including nested batches).
 template <typename Fn>
 void for_each_batched(const BufferSlice& frame, Fn&& fn) {
     Reader r(frame);
@@ -128,39 +111,6 @@ void for_each_batched(const BufferSlice& frame, Fn&& fn) {
         fn(sub);
     }
     r.expect_done();
-}
-
-// All-or-nothing frame parse: the enclosed envelopes, or nullopt if the
-// bytes merely start with the batch tag without being a well-formed frame
-// (runtimes then deliver the message verbatim — a process not speaking the
-// envelope protocol may legitimately send bytes that start with 0x05).
-inline std::optional<std::vector<BufferSlice>> parse_batch(
-    const BufferSlice& frame) {
-    std::vector<BufferSlice> subs;
-    try {
-        for_each_batched(frame, [&](const BufferSlice& sub) {
-            subs.push_back(sub);
-        });
-    } catch (const DecodeError&) {
-        return std::nullopt;
-    }
-    return subs;
-}
-
-// The one receive-side unwrap policy shared by every runtime: a
-// well-formed batch frame is delivered as its enclosed envelopes (zero-copy
-// subslices, append order); anything else — including bytes that merely
-// start with the batch tag — is delivered verbatim. `deliver` may early-out
-// internally (e.g. when the receiving process crashed mid-batch).
-template <typename Fn>
-void deliver_unwrapped(const BufferSlice& bytes, Fn&& deliver) {
-    if (is_batch_frame(bytes)) {
-        if (const auto subs = parse_batch(bytes)) {
-            for (const BufferSlice& sub : *subs) deliver(sub);
-            return;
-        }
-    }
-    deliver(bytes);
 }
 
 }  // namespace wbam::codec

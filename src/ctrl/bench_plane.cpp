@@ -55,19 +55,26 @@ void NodeShim::on_message(Context& ctx, ProcessId from,
         } catch (const codec::DecodeError&) {
             // Malformed control traffic: drop (same policy as protocols).
         }
-        return;
-    }
-    if (!inner_) {
+    } else if (!inner_) {
         // A peer whose RUN_SPEC arrived first may already talk protocol to
         // us; park the mail until our spec builds the stack.
         early_mail_.emplace_back(from, bytes);
-        return;
+    } else {
+        inner_->on_message(ctx, from, bytes);
     }
-    inner_->on_message(ctx, from, bytes);
+    commit_wal();
 }
 
 void NodeShim::on_timer(Context& ctx, TimerId id) {
     if (inner_) inner_->on_timer(ctx, id);
+    commit_wal();
+}
+
+void NodeShim::commit_wal() {
+    // A row with its own WAL has committed already (Log::commit returns at
+    // once with nothing pending); a row without one (Skeen) leaves the
+    // sink's app_delivered records for this commit.
+    if (wal_ != nullptr) wal_->commit();
 }
 
 void NodeShim::handle_ctrl(Context& ctx, const codec::EnvelopeView& env) {
@@ -98,9 +105,10 @@ void NodeShim::handle_ctrl(Context& ctx, const codec::EnvelopeView& env) {
                             // detection either way).
                         }
                     }
-                    // Rides the inner replica's commit batch (the protocols
-                    // commit at their dispatch exits); a no-op while its
-                    // WAL replay re-emits.
+                    // Committed with the inner replica's records at its
+                    // handler exit, or by commit_wal() after the call for
+                    // a row without a WAL; a no-op while its WAL replay
+                    // re-emits.
                     if (wal_ != nullptr)
                         wal_->append(wal::tag(wal::RecordType::app_delivered),
                                      wal::encode_app_delivered(m.id));
@@ -121,7 +129,6 @@ void NodeShim::handle_ctrl(Context& ctx, const codec::EnvelopeView& env) {
                         wal_->append(
                             wal::tag(wal::RecordType::app_delivered),
                             wal::encode_app_delivered(deliveries_[i]));
-                    wal_->commit();
                 }
                 for (auto& [from, mail] : early_mail_)
                     inner_->on_message(ctx, from, mail);

@@ -66,8 +66,9 @@ public:
     // `shutdown_flag` is set (from the loop thread) when the coordinator
     // orders SHUTDOWN; the hosting main loop polls it to exit. `wal`, when
     // given, is shared with the inner replica: the shim appends an
-    // app_delivered record per delivery (riding the protocol's commit
-    // batches) and rebuilds its delivery sequence + digest from the
+    // app_delivered record per delivery, commits the log after every call
+    // into the replica (a no-op when the row committed it already), and
+    // rebuilds its delivery sequence + digest from the
     // recovered records on restart, so a kill -9'd node reports the FULL
     // run in its REPLICA_DONE digest, not just the post-restart suffix.
     // Re-acking a resent request for an op delivered pre-crash is the
@@ -95,6 +96,7 @@ public:
 
 private:
     void handle_ctrl(Context& ctx, const codec::EnvelopeView& env);
+    void commit_wal();
 
     Topology topo_;
     ProcessId self_;

@@ -87,7 +87,6 @@ struct BenchSpec {
     Duration heartbeat_interval = milliseconds(50);
     Duration suspect_timeout = seconds(30);
     Duration retry_interval = milliseconds(200);
-    bool batching_enabled = false;
     // The simulator's implementation-cost model (ReplicaConfig's
     // consensus_cmd_cost / wbcast_*_cost). Charged through Context::charge,
     // which costs nothing on TCP; 0 = off.
@@ -112,7 +111,6 @@ struct BenchSpec {
         cfg.heartbeat_interval = heartbeat_interval;
         cfg.suspect_timeout = suspect_timeout;
         cfg.retry_interval = retry_interval;
-        cfg.batching_enabled = batching_enabled;
         cfg.consensus_cmd_cost = consensus_cmd_cost;
         cfg.wbcast_multicast_cost = wbcast_multicast_cost;
         cfg.wbcast_accept_cost = wbcast_accept_cost;
@@ -132,7 +130,6 @@ struct BenchSpec {
         w.zigzag(heartbeat_interval);
         w.zigzag(suspect_timeout);
         w.zigzag(retry_interval);
-        w.boolean(batching_enabled);
         w.zigzag(consensus_cmd_cost);
         w.zigzag(wbcast_multicast_cost);
         w.zigzag(wbcast_accept_cost);
@@ -160,7 +157,6 @@ struct BenchSpec {
         s.heartbeat_interval = r.zigzag();
         s.suspect_timeout = r.zigzag();
         s.retry_interval = r.zigzag();
-        s.batching_enabled = r.boolean();
         s.consensus_cmd_cost = r.zigzag();
         s.wbcast_multicast_cost = r.zigzag();
         s.wbcast_accept_cost = r.zigzag();

@@ -79,12 +79,6 @@ struct ReplicaConfig {
     // catches up via state snapshot.
     bool gc_enabled = true;
     Duration gc_interval = milliseconds(250);
-    // Leader-side send batching (BatchingContext): coalesce same-destination
-    // sends made within one handler into a single batch frame, flushed at
-    // handler exit. Off by default; adopted by the wbcast ACCEPT/DELIVER
-    // fan-out and the paxos phase-2 path of the black-box baselines.
-    bool batching_enabled = false;
-    std::uint32_t batch_max_bytes = 16 * 1024;
     // --- implementation-cost model (benchmarks only; zero in tests) --------
     // Charged at a Paxos leader per consensus command it drives through the
     // engine: the black-box baselines pay it twice per message (once per
@@ -105,11 +99,11 @@ struct ReplicaConfig {
 
     // Durability: per-replica write-ahead log (nullptr = volatile, the
     // default). The log must outlive the replica. When set, every handler
-    // runs under a BatchingContext whose flush point doubles as the WAL
-    // group-commit point: records are made durable (one fsync per batch in
-    // SyncMode::group_commit) BEFORE the handler's sends leave the process,
-    // so no acknowledged delivery can be lost to a crash. On construction
-    // the replica replays the log and rejoins via floor/catch-up
+    // runs under a wal::HoldContext that holds its sends until the log has
+    // committed (one fsync per handler in SyncMode::group_commit): records
+    // are durable BEFORE the handler's sends leave the process, so no
+    // acknowledged delivery can be lost to a crash. On construction the
+    // replica replays the log and rejoins via floor/catch-up
     // (docs/ARCHITECTURE.md, "Durability & recovery").
     wal::Log* wal = nullptr;
 };

@@ -4,11 +4,12 @@
 //  * The client-ack rule (multicast/client_ack.hpp): every message passes
 //    through it before the row sees it, and every delivery, replayed ones
 //    included, marks it, so the replica acks its own clients.
-//  * The handler wrapper. With batching or a WAL attached, each handler
-//    runs under a BatchingContext whose flush point doubles as the WAL
-//    group-commit point: every record the handler appended is durable
-//    (one fsync per batch in group_commit mode) before any message it
-//    produced leaves the process.
+//  * The handler wrapper: the WAL's durability gate. With a WAL attached,
+//    each handler runs under a wal::HoldContext; the log commits (one
+//    fsync per handler in group_commit mode) and only then are the
+//    handler's sends released, each as its own frame, so no message
+//    leaves the process before the records its handler appended are
+//    durable. Without a WAL the handler sends directly.
 //  * The delivery point: compaction queue, watermark, durable watermark
 //    record, `delivered` stage point, sink and client ack, in that order,
 //    then at most gc_steps_per_delivery steps of compaction debt.
@@ -30,11 +31,11 @@
 #ifndef WBAM_MULTICAST_REPLICA_CORE_HPP
 #define WBAM_MULTICAST_REPLICA_CORE_HPP
 
-#include "common/batching.hpp"
 #include "multicast/api.hpp"
 #include "multicast/client_ack.hpp"
 #include "multicast/gc_floor.hpp"
 #include "obs/stage.hpp"
+#include "wal/hold_context.hpp"
 #include "wal/log.hpp"
 
 namespace wbam {
@@ -141,14 +142,14 @@ protected:
 private:
     template <class Body>
     void run_handler(Context& ctx, Body&& body) {
-        if (!cfg_.batching_enabled && cfg_.wal == nullptr) {
+        if (cfg_.wal == nullptr) {
             body(ctx);
             return;
         }
-        BatchingContext batched(ctx, cfg_.batch_max_bytes);
-        body(batched);
-        if (cfg_.wal) cfg_.wal->commit();
-        batched.flush();
+        wal::HoldContext held(ctx);
+        body(held);
+        cfg_.wal->commit();
+        held.release();
     }
 
     // True (and handled) when `id` is the GC timer.

@@ -741,14 +741,9 @@ bool NetWorld::Loop::read_conn(Conn& c) {
 
 void NetWorld::deliver(Host& h, ProcessId from, const BufferSlice& frame) {
     try {
-        codec::deliver_unwrapped(frame, [&](const BufferSlice& msg) {
-            try {
-                h.proc->on_message(*h.ctx, from, msg);
-            } catch (const codec::DecodeError&) {
-                // Malformed input is dropped (see sim::World).
-            }
-        });
+        h.proc->on_message(*h.ctx, from, frame);
     } catch (const codec::DecodeError&) {
+        // Malformed input is dropped (see sim::World).
     }
 }
 

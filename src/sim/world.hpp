@@ -40,11 +40,7 @@ struct CpuModel {
 };
 
 // One recorded send, with the envelope header pre-parsed (module 0xff if
-// the payload was not a valid envelope). Batch frames are expanded: each
-// enclosed envelope gets its own record with its true size, plus
-// `frame_overhead` accounting its share of the frame header, so checkers
-// and cost accounting see individual protocol messages even when the wire
-// carries coalesced frames.
+// the payload was not a valid envelope).
 struct SendRecord {
     TimePoint at = 0;
     ProcessId from = invalid_process;
@@ -53,7 +49,6 @@ struct SendRecord {
     std::uint8_t type = 0;
     MsgId about = invalid_msg;
     std::uint32_t size = 0;
-    std::uint32_t frame_overhead = 0;  // batch framing bytes attributed here
 };
 
 class World {
@@ -174,11 +169,8 @@ private:
     Event pop();
     void execute(Event& ev);
     void record_send(ProcessId from, ProcessId to, const BufferSlice& bytes);
-    void record_one(ProcessId from, ProcessId to, const BufferSlice& bytes,
-                    std::uint32_t frame_overhead);
     void schedule_arrival(ProcessId from, ProcessId to, Payload payload);
     void dispatch_message(Host& host, ProcessId from, const BufferSlice& bytes);
-    void dispatch_one(Host& host, ProcessId from, const BufferSlice& bytes);
     Host& host(ProcessId id);
     const Host& host(ProcessId id) const;
 

@@ -18,9 +18,10 @@
 // to the kernel in one bounded writev per commit(). Sync modes:
 //
 //   off          write on commit, never fsync (crash durability = none)
-//   group_commit write + one fsync per commit() — the group-commit mode,
-//                called at the protocol's BatchingContext flush points,
-//                so durability costs one fsync per message batch
+//   group_commit write + one fsync per commit() — the group-commit mode.
+//                A replica commits once per handler, just before the
+//                handler's held sends are released (wal/hold_context.hpp),
+//                so durability costs one fsync per handler, not per record
 //   always       every append() commits and fsyncs individually
 //
 // Replay: open() recovers the valid record prefix into memory (slices
@@ -94,6 +95,9 @@ public:
     // kill -9 between append and commit does. Test hook for the simulated
     // crash schedules; never called on the production path.
     void discard_pending() { pending_.clear(); }
+
+    // Records appended but not yet committed.
+    std::size_t pending_records() const { return pending_.size(); }
 
     const std::vector<Record>& recovered() const { return recovered_; }
     const LogStats& stats() const { return stats_; }

@@ -10,12 +10,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <thread>
 
 #include "client/latency_sampler.hpp"
 #include "ctrl/bench_plane.hpp"
 #include "ctrl/sim_run.hpp"
 #include "harness/live_cluster.hpp"
+#include "wal/records.hpp"
 
 namespace wbam {
 namespace {
@@ -50,7 +52,6 @@ TEST(CtrlCodecTest, BenchSpecRoundTrip) {
     spec.heartbeat_interval = milliseconds(25);
     spec.suspect_timeout = seconds(9);
     spec.retry_interval = milliseconds(321);
-    spec.batching_enabled = true;
     spec.consensus_cmd_cost = microseconds(12);
     spec.wbcast_multicast_cost = microseconds(10);
     spec.wbcast_accept_cost = nanoseconds(500);
@@ -68,14 +69,12 @@ TEST(CtrlCodecTest, BenchSpecRoundTrip) {
     EXPECT_EQ(out.heartbeat_interval, spec.heartbeat_interval);
     EXPECT_EQ(out.suspect_timeout, spec.suspect_timeout);
     EXPECT_EQ(out.retry_interval, spec.retry_interval);
-    EXPECT_EQ(out.batching_enabled, spec.batching_enabled);
     EXPECT_EQ(out.consensus_cmd_cost, spec.consensus_cmd_cost);
     EXPECT_EQ(out.wbcast_multicast_cost, spec.wbcast_multicast_cost);
     EXPECT_EQ(out.wbcast_accept_cost, spec.wbcast_accept_cost);
 
     const ReplicaConfig rc = out.replica_config();
     EXPECT_EQ(rc.heartbeat_interval, spec.heartbeat_interval);
-    EXPECT_TRUE(rc.batching_enabled);
     EXPECT_EQ(rc.consensus_cmd_cost, spec.consensus_cmd_cost);
     EXPECT_EQ(rc.wbcast_multicast_cost, spec.wbcast_multicast_cost);
     EXPECT_EQ(rc.wbcast_accept_cost, spec.wbcast_accept_cost);
@@ -369,6 +368,92 @@ TEST(CtrlPlaneTest, RelativeWindowsWorkWithoutSharedEpoch) {
     fx.shutdown();
     ASSERT_TRUE(fx.coordinator->succeeded()) << fx.coordinator->error();
     EXPECT_GT(fx.coordinator->result_point().ops, 0u);
+}
+
+// --- the shim's own WAL records ---------------------------------------------
+
+// Plays the two roles a shim talks to in a sim::World: the coordinator
+// (answers READY with RUN_SPEC) and a driver (sends requests on command).
+class SpecServer final : public Process {
+public:
+    explicit SpecServer(BenchSpec spec) : spec_(spec) {}
+
+    void on_start(Context& ctx) override { ctx_ = &ctx; }
+    void on_message(Context& ctx, ProcessId from,
+                    const BufferSlice& bytes) override {
+        const codec::EnvelopeView env(bytes);
+        if (env.module == codec::Module::ctrl &&
+            env.type == static_cast<std::uint8_t>(CtrlMsgType::ready))
+            ctx.send(from, ctrl::encode_ctrl(CtrlMsgType::run_spec, spec_));
+    }
+    void on_timer(Context&, TimerId) override {}
+
+    // Must be called from inside a simulator event.
+    void request(ProcessId to, const AppMessage& m) {
+        ctx_->send(to, encode_multicast_request(m));
+    }
+
+private:
+    BenchSpec spec_;
+    Context* ctx_ = nullptr;
+};
+
+// Skeen keeps no WAL of its own, so nothing but the shim commits the
+// shim's app_delivered records. They must be durable while the run goes
+// on: a second Log opened on the file of a live shim recovers them all.
+TEST(NodeShimWalTest, RowWithoutWalStillCommitsDeliveryRecords) {
+    const Topology topo(2, 1, 1);
+    const std::string dir = testing::TempDir() + "ctrl_shim_wal";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    auto path = [&](ProcessId p) {
+        return dir + "/p" + std::to_string(p) + ".wal";
+    };
+    std::vector<std::unique_ptr<wal::Log>> wals;
+    for (ProcessId p = 0; p < topo.num_replicas(); ++p)
+        wals.push_back(
+            std::make_unique<wal::Log>(path(p), wal::SyncMode::off));
+
+    BenchSpec spec;
+    spec.proto = harness::ProtocolKind::skeen;
+    const ProcessId coord = topo.client(0);
+    std::vector<std::atomic<bool>> flags(
+        static_cast<std::size_t>(topo.num_replicas()));
+    constexpr std::uint32_t n = 20;
+    {
+        sim::World world(topo,
+                         std::make_unique<sim::UniformDelay>(milliseconds(1)),
+                         3);
+        for (ProcessId p = 0; p < topo.num_replicas(); ++p)
+            world.add_process(p, std::make_unique<ctrl::NodeShim>(
+                                     topo, p, coord,
+                                     &flags[static_cast<std::size_t>(p)],
+                                     wals[static_cast<std::size_t>(p)].get()));
+        auto owned = std::make_unique<SpecServer>(spec);
+        SpecServer* server = owned.get();
+        world.add_process(coord, std::move(owned));
+        world.start();
+        for (std::uint32_t i = 0; i < n; ++i) {
+            const AppMessage m =
+                make_app_message(make_msg_id(coord, i), {0, 1}, Bytes{0x42});
+            world.at(milliseconds(20 + 2 * i), [server, m] {
+                server->request(0, m);
+                server->request(1, m);
+            });
+        }
+        world.run_until(milliseconds(200));
+
+        for (ProcessId p = 0; p < topo.num_replicas(); ++p) {
+            const wal::Log reader(path(p), wal::SyncMode::off);
+            std::size_t delivered = 0;
+            for (const wal::Record& r : reader.recovered())
+                if (r.type == wal::tag(wal::RecordType::app_delivered))
+                    ++delivered;
+            EXPECT_EQ(delivered, n) << "p" << p;
+        }
+    }
+    wals.clear();
+    std::filesystem::remove_all(dir);
 }
 
 // --- the same exchange on the simulator --------------------------------------

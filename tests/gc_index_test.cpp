@@ -31,6 +31,8 @@ namespace {
 using harness::Cluster;
 using harness::ClusterConfig;
 using harness::ProtocolKind;
+using testutil::row_name;
+using testutil::WalSet;
 
 Timestamp ts(std::uint64_t time, GroupId g = 0) { return Timestamp{time, g}; }
 
@@ -140,37 +142,6 @@ TEST(CompactionQueueTest, RebuildSortsQueueAndRecountsStubs) {
 
 // --- the index invariant across table rebuilds -------------------------------
 
-// One WAL per replica, reopenable across a simulated kill. Declared before
-// the Cluster: replicas hold raw pointers into `logs`.
-struct WalSet {
-    std::string dir;
-    std::vector<std::unique_ptr<wal::Log>> logs;
-
-    WalSet(int replicas, const std::string& tag) {
-        static int counter = 0;
-        dir = testing::TempDir() + "gc_index_" + tag + "_" +
-              std::to_string(++counter);
-        std::filesystem::create_directories(dir);
-        for (int p = 0; p < replicas; ++p)
-            logs.push_back(std::make_unique<wal::Log>(
-                path(p), wal::SyncMode::group_commit));
-    }
-    ~WalSet() {
-        logs.clear();
-        std::error_code ec;
-        std::filesystem::remove_all(dir, ec);
-    }
-    std::string path(ProcessId p) const {
-        return dir + "/p" + std::to_string(p) + ".wal";
-    }
-    void kill_and_reopen(ProcessId p) {
-        auto& log = logs[static_cast<std::size_t>(p)];
-        log->discard_pending();
-        log.reset();
-        log = std::make_unique<wal::Log>(path(p), wal::SyncMode::group_commit);
-    }
-};
-
 ClusterConfig index_config(ProtocolKind kind, std::uint64_t seed) {
     ClusterConfig cfg;
     cfg.kind = kind;
@@ -244,15 +215,6 @@ void expect_everything_compacted(Cluster& c, ProtocolKind kind) {
     }
 }
 
-std::string row_name(ProtocolKind kind) {
-    switch (kind) {
-        case ProtocolKind::wbcast: return "Wbcast";
-        case ProtocolKind::ftskeen: return "FtSkeen";
-        case ProtocolKind::fastcast: return "FastCast";
-        default: return "Other";
-    }
-}
-
 std::size_t snapshots_sent_to(Cluster& c, ProcessId p) {
     std::size_t n = 0;
     for (const sim::SendRecord& r : c.world().send_trace())
@@ -268,9 +230,7 @@ std::size_t snapshots_sent_to(Cluster& c, ProcessId p) {
 ClusterConfig durable_config(WalSet& wals, ProtocolKind kind,
                              std::uint64_t seed) {
     ClusterConfig cfg = index_config(kind, seed);
-    cfg.tune_replica = [&wals](ProcessId p, ReplicaConfig& rc) {
-        rc.wal = wals.logs[static_cast<std::size_t>(p)].get();
-    };
+    wals.attach(cfg);
     return cfg;
 }
 
@@ -296,7 +256,7 @@ class GcIndexTest : public ::testing::TestWithParam<ProtocolKind> {};
 // then resyncs through the leader's NEW_STATE.
 TEST_P(GcIndexTest, FollowerRestartedFromWal) {
     const ProtocolKind kind = GetParam();
-    WalSet wals(6, "follower_" + row_name(kind));
+    WalSet wals(6, "gc_index_follower_" + row_name(kind));
     Cluster c(durable_config(wals, kind, 3));
     const ProcessId victim = c.topo().member(0, 2);
     traffic(c, milliseconds(2), milliseconds(600));
@@ -313,7 +273,7 @@ TEST_P(GcIndexTest, FollowerRestartedFromWal) {
 // snapshot install that heals the longer outage.
 TEST_P(GcIndexTest, LeaderKilledAndRestartedFromWal) {
     const ProtocolKind kind = GetParam();
-    WalSet wals(6, "leader_" + row_name(kind));
+    WalSet wals(6, "gc_index_leader_" + row_name(kind));
     Cluster c(durable_config(wals, kind, 5));
     const ProcessId leader = c.topo().initial_leader(0);
     traffic(c, milliseconds(2), milliseconds(600));
@@ -437,7 +397,7 @@ INSTANTIATE_TEST_SUITE_P(AllRows, GcIndexTest,
 // from its WAL replay: no NEW_STATE or NEWLEADER round rebuilds its table
 // afterwards, so the replay's rebuild alone must queue its delivered past.
 TEST(GcIndexWbcastTest, LeaderResumesFromWalReplay) {
-    WalSet wals(6, "wbcast_resume");
+    WalSet wals(6, "gc_index_wbcast_resume");
     ClusterConfig cfg = durable_config(wals, ProtocolKind::wbcast, 9);
     cfg.replica.election_enabled = false;
     Cluster c(cfg);
@@ -468,7 +428,7 @@ bool wb_entry_is_stub(const BufferSlice& body) {
 // record per floor raise and no per-entry stub record; a replica restarted
 // from it comes back with the stubs it had.
 TEST(GcIndexWbcastTest, WalLogsFloorsNotStubs) {
-    WalSet wals(6, "wbcast_floor");
+    WalSet wals(6, "gc_index_wbcast_floor");
     Cluster c(durable_config(wals, ProtocolKind::wbcast, 13));
     traffic(c, milliseconds(2), milliseconds(600), milliseconds(1));
     c.run_for(milliseconds(900));

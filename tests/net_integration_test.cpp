@@ -46,9 +46,8 @@ LiveClusterConfig net_config(ProtocolKind kind, std::uint64_t seed) {
 }
 
 void run_protocol_over_loopback(ProtocolKind kind, std::uint64_t seed,
-                                bool batching = false, int shards = 0) {
+                                int shards = 0) {
     LiveClusterConfig cfg = net_config(kind, seed);
-    cfg.replica.batching_enabled = batching;
     cfg.net.shards = shards;
     LiveCluster c(cfg);
     constexpr int n = 12;
@@ -86,35 +85,23 @@ TEST(NetIntegrationTest, FastcastDeliversOverLoopbackTcp) {
     run_protocol_over_loopback(ProtocolKind::fastcast, 19);
 }
 
-// Batch frames must unwrap at the socket boundary exactly as they do in
-// the simulator.
-TEST(NetIntegrationTest, BatchedWbcastDeliversOverLoopbackTcp) {
-    run_protocol_over_loopback(ProtocolKind::wbcast, 23, /*batching=*/true);
-}
-
 // The same matrix with the transport sharded onto four event loops per
 // NetWorld: connection affinity, cross-shard mailboxes, and the socket
 // handoff path all engage, and the checker result must be unchanged.
 TEST(NetIntegrationTest, WbcastDeliversAcrossFourShards) {
-    run_protocol_over_loopback(ProtocolKind::wbcast, 31, false, /*shards=*/4);
+    run_protocol_over_loopback(ProtocolKind::wbcast, 31, /*shards=*/4);
 }
 
 TEST(NetIntegrationTest, SkeenDeliversAcrossFourShards) {
-    run_protocol_over_loopback(ProtocolKind::skeen, 37, false, /*shards=*/4);
+    run_protocol_over_loopback(ProtocolKind::skeen, 37, /*shards=*/4);
 }
 
 TEST(NetIntegrationTest, FtskeenDeliversAcrossFourShards) {
-    run_protocol_over_loopback(ProtocolKind::ftskeen, 43, false, /*shards=*/4);
+    run_protocol_over_loopback(ProtocolKind::ftskeen, 43, /*shards=*/4);
 }
 
 TEST(NetIntegrationTest, FastcastDeliversAcrossFourShards) {
-    run_protocol_over_loopback(ProtocolKind::fastcast, 47, false,
-                               /*shards=*/4);
-}
-
-TEST(NetIntegrationTest, BatchedWbcastDeliversAcrossFourShards) {
-    run_protocol_over_loopback(ProtocolKind::wbcast, 53, /*batching=*/true,
-                               /*shards=*/4);
+    run_protocol_over_loopback(ProtocolKind::fastcast, 47, /*shards=*/4);
 }
 
 // Connection lifecycle: sever every established TCP connection mid-run;

@@ -5,15 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <tuple>
 
-#include "common/batching.hpp"
 #include "harness/cluster.hpp"
 #include "multicast/delivery_log.hpp"
 #include "obs/metrics.hpp"
 #include "sim/network.hpp"
 #include "sim/world.hpp"
 #include "test_util.hpp"
+#include "wal/hold_context.hpp"
 
 namespace wbam {
 namespace {
@@ -148,9 +149,9 @@ TEST(SendManyTest, FanOutSharesStorageWithoutCopies) {
                              w.sponges[3]->received[0].second));
 }
 
-// --- BatchingContext ---------------------------------------------------------
+// --- held sends: the WAL gate ------------------------------------------------
 
-// Records every send a BatchingContext flushes into it.
+// Records every send that reaches it.
 class RecordingContext final : public Context {
 public:
     ProcessId self() const override { return 0; }
@@ -176,109 +177,59 @@ Buffer tagged(std::uint8_t module, std::uint8_t tag) {
     return std::move(w).take_buffer();
 }
 
-TEST(BatchingTest, SingleMessageForwardedUnframed) {
+TEST(HeldSendTest, NothingLeavesBeforeRelease) {
+    RecordingContext inner;
+    wal::HoldContext held(inner);
+    held.send(3, tagged(1, 7));
+    held.send_many({1, 2}, tagged(1, 8));
+    EXPECT_TRUE(inner.sent.empty());
+    held.release();
+    EXPECT_EQ(inner.sent.size(), 3u);
+    // Released means released: a second release sends nothing again.
+    held.release();
+    EXPECT_EQ(inner.sent.size(), 3u);
+}
+
+TEST(HeldSendTest, SendOrderKeptOneFramePerSend) {
+    RecordingContext inner;
+    const Buffer fan = tagged(1, 2);
+    {
+        wal::HoldContext held(inner);
+        held.send(2, tagged(1, 0));
+        held.send(1, tagged(1, 1));
+        held.send_many({3, 2}, fan);
+        held.send(1, tagged(1, 3));
+        held.release();
+    }
+    // Every send leaves as its own frame, in the order it was made, not
+    // grouped by destination.
+    const std::vector<std::pair<ProcessId, std::uint8_t>> want{
+        {2, 0}, {1, 1}, {3, 2}, {2, 2}, {1, 3}};
+    ASSERT_EQ(inner.sent.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(inner.sent[i].first, want[i].first) << "send " << i;
+        EXPECT_EQ(inner.sent[i].second,
+                  BufferSlice(tagged(1, want[i].second)))
+            << "send " << i;
+    }
+    // The fan-out recipients share the one image, as unheld sends do.
+    EXPECT_TRUE(same_storage(inner.sent[2].second, BufferSlice(fan)));
+    EXPECT_TRUE(same_storage(inner.sent[3].second, BufferSlice(fan)));
+}
+
+TEST(HeldSendTest, UnreleasedSendsAreDropped) {
+    // A handler that throws never reaches release().
     RecordingContext inner;
     {
-        BatchingContext b(inner);
-        b.send(3, tagged(1, 7));
-        EXPECT_TRUE(inner.sent.empty());  // held until flush
+        wal::HoldContext held(inner);
+        held.send(1, tagged(1, 0));
     }
-    ASSERT_EQ(inner.sent.size(), 1u);
-    EXPECT_EQ(inner.sent[0].first, 3);
-    EXPECT_FALSE(codec::is_batch_frame(inner.sent[0].second));
+    EXPECT_TRUE(inner.sent.empty());
 }
 
-TEST(BatchingTest, FlushOrderIsDeterministicFirstSendOrder) {
-    RecordingContext inner;
-    {
-        BatchingContext b(inner);
-        b.send(2, tagged(1, 0));
-        b.send(1, tagged(1, 1));
-        b.send(2, tagged(1, 2));
-        b.send(3, tagged(1, 3));
-        b.send(1, tagged(1, 4));
-        EXPECT_EQ(b.pending_messages(), 5u);
-    }
-    // Destinations flush in first-send order: 2, 1, 3.
-    ASSERT_EQ(inner.sent.size(), 3u);
-    EXPECT_EQ(inner.sent[0].first, 2);
-    EXPECT_EQ(inner.sent[1].first, 1);
-    EXPECT_EQ(inner.sent[2].first, 3);
-    // Within a destination, messages keep send order.
-    const auto subs = codec::parse_batch(inner.sent[0].second);
-    ASSERT_TRUE(subs.has_value());
-    ASSERT_EQ(subs->size(), 2u);
-    EXPECT_EQ((*subs)[0], BufferSlice(tagged(1, 0)));
-    EXPECT_EQ((*subs)[1], BufferSlice(tagged(1, 2)));
-    // Single-destination message 3 left unframed.
-    EXPECT_FALSE(codec::is_batch_frame(inner.sent[2].second));
-}
-
-TEST(BatchingTest, SendManyAppendsToEveryDestination) {
-    RecordingContext inner;
-    {
-        BatchingContext b(inner);
-        b.send_many({1, 2}, tagged(1, 0));
-        b.send_many({2, 1}, tagged(1, 1));
-    }
-    ASSERT_EQ(inner.sent.size(), 2u);
-    for (const auto& [to, frame] : inner.sent) {
-        const auto subs = codec::parse_batch(frame);
-        ASSERT_TRUE(subs.has_value()) << "dest " << to;
-        ASSERT_EQ(subs->size(), 2u);
-        EXPECT_EQ((*subs)[0], BufferSlice(tagged(1, 0)));
-        EXPECT_EQ((*subs)[1], BufferSlice(tagged(1, 1)));
-    }
-}
-
-TEST(BatchingTest, OverflowFlushesEarlyKeepingOrder) {
-    RecordingContext inner;
-    {
-        BatchingContext b(inner, /*max_batch_bytes=*/32);
-        for (std::uint8_t i = 0; i < 6; ++i) b.send(1, tagged(1, i));
-    }
-    // Multiple frames to dest 1; concatenated contents preserve send order.
-    ASSERT_GE(inner.sent.size(), 2u);
-    std::vector<std::uint8_t> tags;
-    for (const auto& [to, frame] : inner.sent) {
-        EXPECT_EQ(to, 1);
-        if (const auto subs = codec::parse_batch(frame)) {
-            for (const auto& s : *subs) tags.push_back(s.data()[1]);
-        } else {
-            tags.push_back(frame.data()[1]);  // lone unframed message
-        }
-    }
-    EXPECT_EQ(tags, (std::vector<std::uint8_t>{0, 1, 2, 3, 4, 5}));
-}
-
-TEST(BatchingTest, BatchedFrameUnwrappedByWorld) {
-    SpongeWorld w(3, sim::CpuModel{});
-    w.world.enable_send_trace(true);
-    w.world.at(0, [&] {
-        BatchingContext b(*w.sponges[0]->ctx);
-        b.send(1, tagged(1, 0));
-        b.send(1, tagged(1, 1));
-        b.send(2, tagged(1, 2));
-    });
-    w.world.run_for(milliseconds(5));
-    // Receiver sees the individual envelopes, not the frame.
-    ASSERT_EQ(w.sponges[1]->received.size(), 2u);
-    EXPECT_EQ(w.sponges[1]->received[0].second, BufferSlice(tagged(1, 0)));
-    EXPECT_EQ(w.sponges[1]->received[1].second, BufferSlice(tagged(1, 1)));
-    // Both sub-messages alias the one batch frame allocation.
-    EXPECT_TRUE(same_storage(w.sponges[1]->received[0].second,
-                             w.sponges[1]->received[1].second));
-    ASSERT_EQ(w.sponges[2]->received.size(), 1u);
-    // The send trace also records per-envelope, with framing overhead
-    // attributed to the first record of each frame.
-    ASSERT_EQ(w.world.send_trace().size(), 3u);
-    EXPECT_GT(w.world.send_trace()[0].frame_overhead, 0u);
-    EXPECT_EQ(w.world.send_trace()[1].frame_overhead, 0u);
-}
-
-// End-to-end: a batched wbcast cluster still checker-verifies, and its
+// End-to-end: a WAL-backed wbcast cluster still checker-verifies, and its
 // delivery schedule is deterministic run to run.
-std::vector<std::tuple<ProcessId, TimePoint, MsgId>> run_batched_wbcast(
+std::vector<std::tuple<ProcessId, TimePoint, MsgId>> run_durable_wbcast(
     std::uint64_t seed) {
     harness::ClusterConfig cfg;
     cfg.kind = harness::ProtocolKind::wbcast;
@@ -286,7 +237,8 @@ std::vector<std::tuple<ProcessId, TimePoint, MsgId>> run_batched_wbcast(
     cfg.group_size = 3;
     cfg.clients = 2;
     cfg.seed = seed;
-    cfg.replica.batching_enabled = true;
+    testutil::WalSet wals(9, "substrate_wbcast", wal::SyncMode::off);
+    wals.attach(cfg);
     harness::Cluster c(cfg);
     Rng rng(seed * 31);
     testutil::random_workload(c, rng, 40, milliseconds(50), 3);
@@ -300,14 +252,13 @@ std::vector<std::tuple<ProcessId, TimePoint, MsgId>> run_batched_wbcast(
     return deliveries;
 }
 
-TEST(BatchingTest, BatchedWbcastIsCorrectAndDeterministic) {
-    const auto a = run_batched_wbcast(11);
+TEST(HeldSendTest, DurableWbcastIsCorrectAndDeterministic) {
+    const auto a = run_durable_wbcast(11);
     EXPECT_FALSE(a.empty());
-    EXPECT_EQ(a, run_batched_wbcast(11));
+    EXPECT_EQ(a, run_durable_wbcast(11));
 }
 
-// The black-box baselines batch their paxos phase-2 fan-out the same way.
-TEST(BatchingTest, BatchedBaselinesStillCheckerVerify) {
+TEST(HeldSendTest, DurableBaselinesStillCheckerVerify) {
     for (const auto kind :
          {harness::ProtocolKind::ftskeen, harness::ProtocolKind::fastcast}) {
         harness::ClusterConfig cfg;
@@ -316,7 +267,9 @@ TEST(BatchingTest, BatchedBaselinesStillCheckerVerify) {
         cfg.group_size = 3;
         cfg.clients = 1;
         cfg.seed = 5;
-        cfg.replica.batching_enabled = true;
+        testutil::WalSet wals(6, "substrate_" + testutil::row_name(kind),
+                              wal::SyncMode::off);
+        wals.attach(cfg);
         harness::Cluster c(cfg);
         Rng rng(17);
         testutil::random_workload(c, rng, 15, milliseconds(40), 2);
@@ -325,6 +278,132 @@ TEST(BatchingTest, BatchedBaselinesStillCheckerVerify) {
             << harness::to_string(kind) << ": " << c.check().summary();
     }
 }
+
+// The gate itself, on every WAL row: the replica is handed a Context
+// that counts each send leaving while the replica's log still holds
+// uncommitted records. A replica commits before it releases what its
+// handler sent, so the count stays zero — through steady load, GC, and a
+// follower's and a leader's restart from the log.
+struct GateLedger {
+    std::size_t sends = 0;
+    std::size_t early = 0;  // sends that left ahead of their records
+    std::string first_early;
+};
+
+class GateCheckContext final : public Context {
+public:
+    GateCheckContext(Context& inner, const wal::Log& log, GateLedger& ledger)
+        : inner_(inner), log_(log), ledger_(ledger) {}
+
+    ProcessId self() const override { return inner_.self(); }
+    TimePoint now() const override { return inner_.now(); }
+    void send(ProcessId to, BufferSlice bytes) override {
+        ++ledger_.sends;
+        if (log_.pending_records() != 0 && ledger_.early++ == 0) {
+            std::ostringstream os;
+            os << "p" << self() << " sent to p" << to << " at " << now()
+               << " ns with " << log_.pending_records()
+               << " uncommitted records";
+            ledger_.first_early = os.str();
+        }
+        inner_.send(to, std::move(bytes));
+    }
+    TimerId set_timer(Duration delay) override { return inner_.set_timer(delay); }
+    void cancel_timer(TimerId id) override { inner_.cancel_timer(id); }
+    Rng& rng() override { return inner_.rng(); }
+    void charge(Duration cpu_work) override { inner_.charge(cpu_work); }
+
+private:
+    Context& inner_;
+    const wal::Log& log_;
+    GateLedger& ledger_;
+};
+
+class GateWatch final : public Process {
+public:
+    GateWatch(std::unique_ptr<Process> inner, const wal::Log& log,
+              GateLedger& ledger)
+        : inner_(std::move(inner)), log_(log), ledger_(ledger) {}
+
+    void on_start(Context& ctx) override {
+        GateCheckContext gate(ctx, log_, ledger_);
+        inner_->on_start(gate);
+    }
+    void on_message(Context& ctx, ProcessId from,
+                    const BufferSlice& bytes) override {
+        GateCheckContext gate(ctx, log_, ledger_);
+        inner_->on_message(gate, from, bytes);
+    }
+    void on_timer(Context& ctx, TimerId id) override {
+        GateCheckContext gate(ctx, log_, ledger_);
+        inner_->on_timer(gate, id);
+    }
+
+private:
+    std::unique_ptr<Process> inner_;
+    const wal::Log& log_;
+    GateLedger& ledger_;
+};
+
+class WalGateTest : public ::testing::TestWithParam<harness::ProtocolKind> {};
+
+TEST_P(WalGateTest, NoSendLeavesAheadOfItsRecords) {
+    const harness::ProtocolKind kind = GetParam();
+    testutil::WalSet wals(6, "substrate_gate_" + testutil::row_name(kind),
+                          wal::SyncMode::off);
+    GateLedger ledger;
+    harness::ClusterConfig cfg;
+    cfg.kind = kind;
+    cfg.groups = 2;
+    cfg.group_size = 3;
+    cfg.clients = 1;
+    cfg.seed = 7;
+    cfg.replica.heartbeat_interval = milliseconds(5);
+    cfg.replica.suspect_timeout = milliseconds(20);
+    cfg.replica.retry_interval = milliseconds(25);
+    cfg.replica.gc_interval = milliseconds(50);
+    cfg.client_retry = milliseconds(50);
+    wals.attach(cfg);
+    cfg.wrap_replica = [&wals, &ledger](ProcessId p,
+                                        std::unique_ptr<Process> r) {
+        return std::make_unique<GateWatch>(std::move(r), *wals.log(p), ledger);
+    };
+    harness::Cluster c(cfg);
+    for (int i = 0; i < 300; ++i) {
+        std::vector<GroupId> dests = i % 3 == 0   ? std::vector<GroupId>{0}
+                                     : i % 3 == 1 ? std::vector<GroupId>{1}
+                                                  : std::vector<GroupId>{0, 1};
+        c.multicast_at(milliseconds(2) * (i + 1), 0, std::move(dests),
+                       Bytes{static_cast<std::uint8_t>(i)});
+    }
+    const auto kill_and_restart = [&](ProcessId p, TimePoint kill,
+                                      TimePoint restart) {
+        c.world().at(kill, [&c, p] { c.world().crash(p); });
+        c.world().at(restart, [&c, &wals, p] {
+            wals.kill_and_reopen(p);
+            c.restart_replica(p);
+        });
+    };
+    kill_and_restart(c.topo().member(1, 1), milliseconds(150),
+                     milliseconds(180));
+    kill_and_restart(c.topo().initial_leader(0), milliseconds(300),
+                     milliseconds(340));
+    c.run_until(seconds(2));
+
+    EXPECT_EQ(ledger.early, 0u) << ledger.first_early;
+    EXPECT_GT(ledger.sends, 3000u);
+    const auto result = c.check();
+    EXPECT_TRUE(result.ok()) << result.summary();
+    EXPECT_EQ(c.log().completed_count(), c.log().multicasts().size());
+}
+
+INSTANTIATE_TEST_SUITE_P(WalRows, WalGateTest,
+                         ::testing::Values(harness::ProtocolKind::wbcast,
+                                           harness::ProtocolKind::ftskeen,
+                                           harness::ProtocolKind::fastcast),
+                         [](const auto& info) {
+                             return testutil::row_name(info.param);
+                         });
 
 TEST(TopologyTest, StaggeredLeadersRotateAcrossIndices) {
     const Topology t(5, 3, 0, /*staggered_leaders=*/true);

@@ -3,13 +3,18 @@
 #ifndef WBAM_TESTS_TEST_UTIL_HPP
 #define WBAM_TESTS_TEST_UTIL_HPP
 
+#include <gtest/gtest.h>
+
+#include <filesystem>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "harness/cluster.hpp"
+#include "wal/log.hpp"
 #include "wbcast/messages.hpp"
 
 namespace wbam::testutil {
@@ -35,6 +40,71 @@ inline void random_workload(harness::Cluster& c, Rng& rng, int messages,
         c.multicast_at(t, client, std::move(dests), Bytes{0x42});
     }
 }
+
+// A row's name as a gtest parameter name (to_string()'s "FT-Skeen" is not
+// one).
+inline std::string row_name(harness::ProtocolKind kind) {
+    switch (kind) {
+        case harness::ProtocolKind::skeen: return "Skeen";
+        case harness::ProtocolKind::ftskeen: return "FtSkeen";
+        case harness::ProtocolKind::fastcast: return "FastCast";
+        case harness::ProtocolKind::wbcast: return "Wbcast";
+    }
+    return "Unknown";
+}
+
+// One WAL per replica in a fresh temp directory named after `tag` (start
+// it with the test binary's name: binaries run in parallel), reopenable
+// across a simulated kill. Declare it before the Cluster: replicas hold
+// raw pointers into `logs`.
+struct WalSet {
+    std::string dir;
+    std::vector<std::unique_ptr<wal::Log>> logs;
+
+    WalSet(int replicas, const std::string& tag,
+           wal::SyncMode mode = wal::SyncMode::group_commit)
+        : mode_(mode) {
+        static int counter = 0;
+        dir = testing::TempDir() + tag + "_" + std::to_string(++counter);
+        // A run that died before its destructor leaves WAL files here; a
+        // fresh replica must never replay them as its own.
+        std::filesystem::remove_all(dir);
+        std::filesystem::create_directories(dir);
+        for (int p = 0; p < replicas; ++p)
+            logs.push_back(std::make_unique<wal::Log>(path(p), mode_));
+    }
+    ~WalSet() {
+        logs.clear();
+        std::error_code ec;
+        std::filesystem::remove_all(dir, ec);
+    }
+    WalSet(const WalSet&) = delete;
+    WalSet& operator=(const WalSet&) = delete;
+
+    std::string path(ProcessId p) const {
+        return dir + "/p" + std::to_string(p) + ".wal";
+    }
+    wal::Log* log(ProcessId p) { return logs[static_cast<std::size_t>(p)].get(); }
+
+    // The kill -9 + reboot of process p: drop what it appended but never
+    // committed, close the file and open a fresh Log on the durable prefix.
+    void kill_and_reopen(ProcessId p) {
+        auto& log = logs[static_cast<std::size_t>(p)];
+        log->discard_pending();
+        log.reset();
+        log = std::make_unique<wal::Log>(path(p), mode_);
+    }
+
+    // Hands every replica its own log (ClusterConfig::tune_replica).
+    void attach(harness::ClusterConfig& cfg) {
+        cfg.tune_replica = [this](ProcessId p, ReplicaConfig& rc) {
+            rc.wal = log(p);
+        };
+    }
+
+private:
+    wal::SyncMode mode_;
+};
 
 // Snoops every wire message and checks the stated invariants of the
 // white-box protocol (Figure 6 of the paper):

@@ -12,6 +12,7 @@
 #include "paxos/messages.hpp"
 #include "paxos/multipaxos.hpp"
 #include "skeen/skeen.hpp"
+#include "test_util.hpp"
 #include "wbcast/messages.hpp"
 
 namespace wbam {
@@ -290,28 +291,75 @@ TEST_P(SliceFuzz, AliasingReadsStayInsideTheirSlice) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SliceFuzz, ::testing::Values(1, 2, 3, 4, 5));
 
-// Garbage that happens to start with the batch tag must neither crash the
-// frame parser nor get half-dispatched: parse_batch is all-or-nothing.
-class BatchFrameFuzz : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(BatchFrameFuzz, GarbageFramesParseOrRejectAtomically) {
-    Rng rng(GetParam() * 2357);
-    for (int trial = 0; trial < 300; ++trial) {
-        Bytes junk(rng.next_below(48) + 1);
-        junk[0] = static_cast<std::uint8_t>(codec::Module::batch);
-        for (std::size_t i = 1; i < junk.size(); ++i)
-            junk[i] = static_cast<std::uint8_t>(rng.next_u64());
-        const BufferSlice frame{std::move(junk)};
-        const auto subs = codec::parse_batch(frame);
-        if (!subs) continue;
-        for (const BufferSlice& sub : *subs) {
-            EXPECT_GE(sub.data(), frame.data());
-            EXPECT_LE(sub.data() + sub.size(), frame.data() + frame.size());
-        }
+// Module::batch is a retired tag: nothing sends a batch frame, and no
+// runtime unwraps one any more. Every row's replicas get well-formed
+// frames of the old format wrapping a valid client request, plus random
+// tag-5 junk, mid-run. The wrapped request is never dispatched (its
+// message is never ordered or delivered), nothing crashes, and the run
+// still checks out.
+Buffer former_batch_frame(const std::vector<Buffer>& envelopes) {
+    codec::Writer w;
+    w.u8(static_cast<std::uint8_t>(codec::Module::batch));
+    w.u8(0);
+    w.varint(invalid_msg);
+    w.u32(static_cast<std::uint32_t>(envelopes.size()));
+    for (const Buffer& e : envelopes) {
+        w.varint(e.size());
+        w.raw(e.data(), e.size());
     }
+    return std::move(w).take_buffer();
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, BatchFrameFuzz, ::testing::Values(1, 2, 3));
+class RetiredBatchTagIsDropped
+    : public ::testing::TestWithParam<harness::ProtocolKind> {};
+
+TEST_P(RetiredBatchTagIsDropped, WrappedEnvelopeIsNeverDispatched) {
+    harness::ClusterConfig cfg;
+    cfg.kind = GetParam();
+    cfg.groups = 2;
+    cfg.group_size = cfg.kind == harness::ProtocolKind::skeen ? 1 : 3;
+    cfg.clients = 1;
+    harness::Cluster c(cfg);
+    c.multicast_at(0, 0, {0, 1});
+    const ProcessId client = c.topo().client(0);
+    // A request the client never multicast through the harness: delivered
+    // anywhere, it would show that a frame was unwrapped.
+    const AppMessage smuggled =
+        make_app_message(make_msg_id(client, 1000), {0, 1}, Bytes{0x5b});
+    c.world().at(microseconds(500), [&c, client, &smuggled] {
+        Rng rng(23);
+        const Buffer request = encode_multicast_request(smuggled);
+        for (ProcessId p = 0; p < c.topo().num_replicas(); ++p) {
+            c.world().send_from(client, p, former_batch_frame({request}));
+            c.world().send_from(client, p,
+                                former_batch_frame({request, request}));
+            for (int i = 0; i < 20; ++i) {
+                Bytes junk(rng.next_below(40) + 1);
+                junk[0] = static_cast<std::uint8_t>(codec::Module::batch);
+                for (std::size_t b = 1; b < junk.size(); ++b)
+                    junk[b] = static_cast<std::uint8_t>(rng.next_u64());
+                c.world().send_from(client, p, std::move(junk));
+            }
+        }
+    });
+    c.multicast_at(milliseconds(20), 0, {1});
+    c.run_for(milliseconds(200));
+
+    for (const auto& [replica, events] : c.log().deliveries())
+        for (const DeliveryEvent& ev : events)
+            EXPECT_NE(ev.msg, smuggled.id) << "p" << replica;
+    EXPECT_TRUE(c.check().ok()) << c.check().summary();
+    EXPECT_EQ(c.log().completed_count(), 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllRows, RetiredBatchTagIsDropped,
+                         ::testing::Values(harness::ProtocolKind::skeen,
+                                           harness::ProtocolKind::wbcast,
+                                           harness::ProtocolKind::ftskeen,
+                                           harness::ProtocolKind::fastcast),
+                         [](const auto& info) {
+                             return testutil::row_name(info.param);
+                         });
 
 // A replica bombarded with random garbage bytes must neither crash nor
 // corrupt an ongoing run. (Decode failures surface as DecodeError from
