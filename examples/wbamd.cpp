@@ -6,23 +6,21 @@
 // multi-host deployments (docs/DEPLOYMENT.md).
 //
 //   wbamd --pid=N --topology=FILE [--epoch-ns=T] [--net-shards=N]
-//         [--run-ms=6000] [--out=FILE] [--wal-dir=DIR]
+//         [--run-ms=6000] [--wal-dir=DIR]
 //         [--wal-sync=off|group|always] [--metrics-dump=FILE]
 //         [--metrics-interval-ms=1000] [-v]
 //
 // The process takes its entire experiment configuration from the
-// coordinator's RUN_SPEC: replica pids start bare behind a ctrl::NodeShim
-// (and write their validated delivery sequence, one message id per line,
-// to --out at exit), client pids become closed-loop ctrl::BenchDriver load
-// generators, and the LAST client pid is reserved for the wbamctl
-// coordinator. The process exits 0 when the coordinator orders SHUTDOWN,
-// or 1 at the --run-ms safety deadline.
+// coordinator's RUN_SPEC: replica pids start bare behind a ctrl::NodeShim,
+// client pids become closed-loop ctrl::BenchDriver load generators, and
+// the LAST client pid is reserved for the wbamctl coordinator, which
+// checks every replica's delivery sequence. The process exits 0 when the
+// coordinator orders SHUTDOWN, or 1 at the --run-ms safety deadline.
 #include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/log.hpp"
 #include "ctrl/bench_plane.hpp"
@@ -87,18 +85,6 @@ private:
     obs::MetricsSnapshot base_;
 };
 
-int write_sequence(const std::string& path, const std::vector<MsgId>& ids) {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "wbamd: cannot write %s\n", path.c_str());
-        return 1;
-    }
-    for (const MsgId id : ids)
-        std::fprintf(f, "%016llx\n", static_cast<unsigned long long>(id));
-    std::fclose(f);
-    return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -131,6 +117,19 @@ int main(int argc, char** argv) {
         if (!wal_log->ok()) {
             std::fprintf(stderr, "wbamd: cannot open WAL %s\n", path.c_str());
             return 2;
+        }
+        // Tags 5 and 8 held each delivery before the `delivered` record
+        // did; a log with them would replay with no watermark and no
+        // delivery sequence, so it is refused rather than misread.
+        for (const wal::Record& r : wal_log->recovered()) {
+            if (r.type == 5 || r.type == 8) {
+                std::fprintf(stderr,
+                             "wbamd: WAL %s was written by an older wbamd "
+                             "(record tag %u); start from an empty "
+                             "--wal-dir\n",
+                             path.c_str(), static_cast<unsigned>(r.type));
+                return 2;
+            }
         }
         std::fprintf(stderr,
                      "wbamd: WAL %s (%s sync): %llu records recovered, %llu "
@@ -219,14 +218,9 @@ int main(int argc, char** argv) {
 
     const bool ok = done.load();
     if (shim != nullptr) {
-        // The validated snapshot, not the live sequence: tail traffic
-        // still settling at the deadline would race the group's files
-        // apart (see NodeShim::reported_deliveries).
-        const std::vector<MsgId> seq = shim->reported_deliveries();
         std::printf("wbamd replica p%d (group %d): delivered %zu (%s)\n",
-                    o.pid, topo.group_of(o.pid), seq.size(),
+                    o.pid, topo.group_of(o.pid), shim->deliveries().size(),
                     ok ? "clean shutdown" : "DEADLINE");
-        if (!o.out.empty() && write_sequence(o.out, seq) != 0) return 1;
     } else {
         std::printf("wbamd driver p%d: %s\n", o.pid,
                     ok ? "clean shutdown" : "DEADLINE");

@@ -234,43 +234,6 @@ def wait_all(procs, names, timeout_s):
     return status
 
 
-def check_sequences(outdir, layout, args):
-    """Replicas of one group must have written identical sequences. When
-    every op goes to every group (bytes workload, --dest-groups >=
-    --groups), the groups must also agree on one order: each group's
-    sequence must be a prefix of the longest one. A prefix, not equality,
-    because groups answer the coordinator's REPORT at different times."""
-    sequences = []
-    for g in range(layout.groups):
-        members = list(range(g * layout.group_size, (g + 1) * layout.group_size))
-        first = None
-        for p in members:
-            path = os.path.join(outdir, f"replica_{p}.txt")
-            if not os.path.exists(path):
-                fail(f"replica {p} wrote no sequence file")
-            with open(path, "rb") as f:
-                content = f.read()
-            if first is None:
-                first_pid, first = p, content
-            elif content != first:
-                fail(f"delivery sequence of replica {p} diverges from "
-                     f"replica {first_pid} (group {g})")
-        if not first:
-            fail(f"group {g} delivered nothing")
-        log(f"group {g}: {len(first.splitlines())} deliveries, "
-            f"identical on {len(members)} replicas")
-        sequences.append(first)
-    if args.workload != "bytes" or args.dest_groups < layout.groups:
-        return
-    longest = max(range(layout.groups), key=lambda g: len(sequences[g]))
-    for g, seq in enumerate(sequences):
-        if not sequences[longest].startswith(seq):
-            fail(f"delivery sequence of group {g} is not a prefix of group "
-                 f"{longest}'s, though every op went to every group")
-    log(f"all {layout.groups} groups deliver one order (each sequence a "
-        f"prefix of group {longest}'s)")
-
-
 def check_json(path, args):
     import json
     with open(path) as f:
@@ -296,17 +259,29 @@ def launch_cluster(args, layout, topo_path, exec_in_region, outdir):
     returns (coordinator status, wbamd statuses). With --crash-pid set, a
     helper thread SIGKILLs that replica mid-run and relaunches the exact
     same command after --restart-after-ms — the rejoining process replays
-    its WAL and catches up, and the coordinator's per-group digest check
-    (plus check_sequences) then covers the full run including the outage."""
+    its WAL and catches up, and the coordinator's delivery-sequence check
+    then covers the full run including the outage."""
     epoch = monotonic_epoch_ns()
     wbamd = os.path.join(args.build, "wbamd")
     wbamctl = os.path.join(args.build, "wbamctl")
     run_ms = args.warmup_ms + args.measure_ms + args.deadline_slack_ms
     crash_pid = getattr(args, "crash_pid", None)
     wal_dir = getattr(args, "wal_dir", None)
+    # Skeen assumes reliable processes and never replays: a WAL would only
+    # hold its acks until each handler's records commit, and a restarted
+    # node could not rejoin.
+    if args.proto == "skeen" and (wal_dir or crash_pid is not None):
+        fail("--wal-dir and --crash-pid cannot be combined with "
+             "--proto=skeen: Skeen assumes reliable processes and never "
+             "replays")
     if crash_pid is not None:
         if not 0 <= crash_pid < layout.replicas:
             fail("--crash-pid must name a replica pid")
+        # A restarted node rebuilds its delivery sequence from its WAL,
+        # but not its KV shard: the coordinator would fail the run.
+        if args.workload == "kv":
+            fail("--crash-pid cannot be combined with --workload=kv: a "
+                 "restarted replica does not rebuild its KV shard")
         if wal_dir is None:
             # A kill -9'd replica can only rejoin with its pre-crash
             # digest if it was writing a WAL.
@@ -329,11 +304,9 @@ def launch_cluster(args, layout, topo_path, exec_in_region, outdir):
             cmd += [f"--metrics-dump="
                     f"{os.path.join(metrics_dir, f'metrics_p{p}.jsonl')}",
                     f"--metrics-interval-ms={args.metrics_interval_ms}"]
-        if p < layout.replicas:
-            cmd.append(f"--out={os.path.join(outdir, f'replica_{p}.txt')}")
-            if wal_dir:
-                cmd += [f"--wal-dir={wal_dir}",
-                        f"--wal-sync={getattr(args, 'wal_sync', 'group')}"]
+        if p < layout.replicas and wal_dir:
+            cmd += [f"--wal-dir={wal_dir}",
+                    f"--wal-sync={getattr(args, 'wal_sync', 'group')}"]
         full = exec_in_region(layout.region_of[p], cmd)
         procs.append(subprocess.Popen(
             full, stdout=open(os.path.join(outdir, f"wbamd_{p}.log"), "w"),
@@ -413,13 +386,12 @@ def check_wal_recovery(outdir, crash_pid):
         f"restart and rejoined with a matching digest")
 
 
-def finish_run(args, layout, coord_status, statuses, outdir):
+def finish_run(args, coord_status, statuses, outdir):
     bad = {n: s for n, s in statuses.items() if s != 0}
     if coord_status != 0:
         fail(f"coordinator exited {coord_status} (wbamd statuses: {bad})")
     if bad:
         fail(f"wbamd processes failed: {bad}")
-    check_sequences(outdir, layout, args)
     check_json(args.out, args)
     if getattr(args, "crash_pid", None) is not None:
         check_wal_recovery(outdir, args.crash_pid)
@@ -458,7 +430,7 @@ def cmd_netns(args):
             f.write(layout.topology_text(local_ns=local_ns, cross_ns=cross_ns))
         coord_status, statuses = launch_cluster(
             args, layout, topo_path, mesh.ns_exec, outdir)
-        finish_run(args, layout, coord_status, statuses, outdir)
+        finish_run(args, coord_status, statuses, outdir)
     finally:
         if args.keep:
             log(f"--keep: namespaces and {outdir} left in place")
@@ -489,7 +461,7 @@ def cmd_local(args):
             log(f"retrying with a fresh port range (attempt {attempt + 2}) "
                 f"— possible port collision on base {base_port}")
             continue
-        finish_run(args, layout, coord_status, statuses, outdir)
+        finish_run(args, coord_status, statuses, outdir)
         return
 
 

@@ -24,16 +24,12 @@ NodeShim::NodeShim(Topology topo, ProcessId self, ProcessId coordinator,
       shutdown_flag_(shutdown_flag), wal_(wal) {
     WBAM_ASSERT(topo_.is_replica(self_));
     if (wal_ == nullptr) return;
-    // Rebuild the pre-crash delivery sequence from our own records. The
-    // shim's record for a delivery lands AFTER the protocol's watermark in
-    // the same commit batch, so everything the replica's replay will
-    // suppress as already-delivered is present here, and everything it
-    // re-emits (above its durable watermark) is absent — the replayed_ set
-    // only guards the rare torn batch in between.
+    // The pre-crash delivery sequence: the replica's `delivered` records,
+    // in delivery order. Its replay suppresses everything at or below the
+    // highest gts among them and re-emits only what lies above it.
     for (const wal::Record& r : wal_->recovered()) {
-        if (r.type != wal::tag(wal::RecordType::app_delivered)) continue;
-        const MsgId id = wal::decode_app_delivered(r.body);
-        if (!replayed_.insert(id).second) continue;  // tolerate duplicates
+        if (r.type != wal::tag(wal::RecordType::delivered)) continue;
+        const MsgId id = wal::decode_delivered(r.body).id;
         deliveries_.push_back(id);
         digest_ = fold_delivery_digest(digest_, id);
     }
@@ -62,19 +58,10 @@ void NodeShim::on_message(Context& ctx, ProcessId from,
     } else {
         inner_->on_message(ctx, from, bytes);
     }
-    commit_wal();
 }
 
 void NodeShim::on_timer(Context& ctx, TimerId id) {
     if (inner_) inner_->on_timer(ctx, id);
-    commit_wal();
-}
-
-void NodeShim::commit_wal() {
-    // A row with its own WAL has committed already (Log::commit returns at
-    // once with nothing pending); a row without one (Skeen) leaves the
-    // sink's app_delivered records for this commit.
-    if (wal_ != nullptr) wal_->commit();
 }
 
 void NodeShim::handle_ctrl(Context& ctx, const codec::EnvelopeView& env) {
@@ -89,7 +76,6 @@ void NodeShim::handle_ctrl(Context& ctx, const codec::EnvelopeView& env) {
                 DeliverySink sink = [this](Context&, GroupId,
                                            const AppMessage& m) {
                     const std::lock_guard<std::mutex> guard(deliveries_mutex_);
-                    if (replayed_.erase(m.id)) return;
                     deliveries_.push_back(m.id);
                     digest_ = fold_delivery_digest(digest_, m.id);
                     // KV workload: payloads are encoded KvOps; apply in
@@ -105,31 +91,12 @@ void NodeShim::handle_ctrl(Context& ctx, const codec::EnvelopeView& env) {
                             // detection either way).
                         }
                     }
-                    // Committed with the inner replica's records at its
-                    // handler exit, or by commit_wal() after the call for
-                    // a row without a WAL; a no-op while its WAL replay
-                    // re-emits.
-                    if (wal_ != nullptr)
-                        wal_->append(wal::tag(wal::RecordType::app_delivered),
-                                     wal::encode_app_delivered(m.id));
                 };
                 ReplicaConfig rc = spec.replica_config();
                 rc.wal = wal_;
                 inner_ = harness::make_replica(spec.proto, topo_, self_, sink,
                                                rc);
-                const std::size_t restored = deliveries_.size();
                 inner_->on_start(ctx);
-                if (wal_ != nullptr) {
-                    // Deliveries the replica's WAL replay re-emitted (above
-                    // its durable watermark) reached the sink while append
-                    // was a replay no-op: re-append them now so the log
-                    // stays complete across a second crash.
-                    const std::lock_guard<std::mutex> guard(deliveries_mutex_);
-                    for (std::size_t i = restored; i < deliveries_.size(); ++i)
-                        wal_->append(
-                            wal::tag(wal::RecordType::app_delivered),
-                            wal::encode_app_delivered(deliveries_[i]));
-                }
                 for (auto& [from, mail] : early_mail_)
                     inner_->on_message(ctx, from, mail);
                 early_mail_.clear();
@@ -146,8 +113,6 @@ void NodeShim::handle_ctrl(Context& ctx, const codec::EnvelopeView& env) {
                 done.delivered = deliveries_.size();
                 done.digest = digest_;
                 done.app_hash = kv_state_ ? kv_state_->state_hash() : 0;
-                reported_ = deliveries_;
-                report_answered_ = true;
             }
             done.metrics = obs::metrics().snapshot();
             ctx.send(coordinator_,
@@ -165,11 +130,6 @@ void NodeShim::handle_ctrl(Context& ctx, const codec::EnvelopeView& env) {
 std::vector<MsgId> NodeShim::deliveries() const {
     const std::lock_guard<std::mutex> guard(deliveries_mutex_);
     return deliveries_;
-}
-
-std::vector<MsgId> NodeShim::reported_deliveries() const {
-    const std::lock_guard<std::mutex> guard(deliveries_mutex_);
-    return report_answered_ ? reported_ : deliveries_;
 }
 
 // --- BenchDriver -------------------------------------------------------------
@@ -511,6 +471,31 @@ bool Coordinator::validate_groups(std::string* why) const {
                            " (or diverging order/app digests)";
                 return false;
             }
+        }
+        if (first.delivered == 0) {
+            if (why != nullptr)
+                *why = "group " + std::to_string(g) + " delivered nothing";
+            return false;
+        }
+    }
+    // Every op went to every group: the groups must also agree with each
+    // other, on one order of the same ops.
+    if (cfg_.spec.workload != WorkloadKind::bytes ||
+        static_cast<int>(cfg_.spec.dest_groups) < topo_.num_groups())
+        return true;
+    const ProcessId p0 = topo_.members(0).front();
+    const auto& first = replica_done_.at(p0);
+    for (GroupId g = 1; g < topo_.num_groups(); ++g) {
+        const ProcessId p = topo_.members(g).front();
+        const auto& done = replica_done_.at(p);
+        if (done.delivered != first.delivered || done.digest != first.digest) {
+            if (why != nullptr)
+                *why = "group " + std::to_string(g) + " delivered " +
+                       std::to_string(done.delivered) + " vs group 0's " +
+                       std::to_string(first.delivered) +
+                       " (or in another order), though every op went to "
+                       "every group";
+            return false;
         }
     }
     return true;

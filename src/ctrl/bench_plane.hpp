@@ -13,7 +13,9 @@
 //                   arrives (the deployment driver never bakes protocol
 //                   knobs into argv). Records its delivery sequence as an
 //                   order-sensitive digest for the coordinator's
-//                   per-group agreement check. The replica inside acks a
+//                   agreement check; after a restart it rebuilds it from
+//                   the replica's own `delivered` WAL records, and writes
+//                   no record of its own. The replica inside acks a
 //                   delivery to the driver iff that driver sent it the
 //                   request (multicast/client_ack.hpp, applied by
 //                   ReplicaCore): in steady state only the group's
@@ -32,8 +34,10 @@
 //                   window (absolute timepoints when the deployment
 //                   shares a clock epoch), merges streamed samples into
 //                   one histogram (exact merged percentiles), validates
-//                   that every replica group agrees on its delivery
-//                   sequence, and exposes the merged FigReport point.
+//                   that every replica group agrees on a non-empty
+//                   delivery sequence (and, when every op goes to every
+//                   group, that all groups agree on one), and exposes the
+//                   merged FigReport point.
 //
 // The message exchange is documented in ctrl/messages.hpp; the file
 // format and deployment modes in docs/DEPLOYMENT.md.
@@ -65,15 +69,15 @@ class NodeShim final : public Process {
 public:
     // `shutdown_flag` is set (from the loop thread) when the coordinator
     // orders SHUTDOWN; the hosting main loop polls it to exit. `wal`, when
-    // given, is shared with the inner replica: the shim appends an
-    // app_delivered record per delivery, commits the log after every call
-    // into the replica (a no-op when the row committed it already), and
-    // rebuilds its delivery sequence + digest from the
-    // recovered records on restart, so a kill -9'd node reports the FULL
-    // run in its REPLICA_DONE digest, not just the post-restart suffix.
-    // Re-acking a resent request for an op delivered pre-crash is the
-    // inner replica's own business: it re-marks its delivered past while
-    // replaying the same WAL.
+    // given, is the inner replica's log. The shim writes nothing to it: on
+    // restart it rebuilds its delivery sequence + digest from the
+    // replica's `delivered` records (multicast/replica_core.hpp), so a
+    // kill -9'd node reports the FULL run in its REPLICA_DONE digest, not
+    // just the post-restart suffix. The replica's watermark comes from
+    // the same records, so its replay re-emits only deliveries the
+    // rebuilt sequence lacks. Re-acking a resent request for an op
+    // delivered pre-crash is the inner replica's own business: it re-marks
+    // its delivered past while replaying the same WAL.
     NodeShim(Topology topo, ProcessId self, ProcessId coordinator,
              std::atomic<bool>* shutdown_flag, wal::Log* wal = nullptr);
 
@@ -82,31 +86,17 @@ public:
                     const BufferSlice& bytes) override;
     void on_timer(Context& ctx, TimerId id) override;
 
-    // Snapshot of the recorded delivery sequence (read after shutdown for
-    // --out files; thread-safe).
+    // Snapshot of the recorded delivery sequence (thread-safe).
     std::vector<MsgId> deliveries() const;
-
-    // The sequence as of the last REPORT answered — the snapshot the
-    // coordinator's digest validation agreed on. Deliveries landing
-    // between that report and process exit are excluded, so the written
-    // sequence files of one group compare byte-identical even when tail
-    // traffic is still settling at the shutdown deadline. Falls back to
-    // the live sequence if no REPORT was ever answered.
-    std::vector<MsgId> reported_deliveries() const;
 
 private:
     void handle_ctrl(Context& ctx, const codec::EnvelopeView& env);
-    void commit_wal();
 
     Topology topo_;
     ProcessId self_;
     ProcessId coordinator_;
     std::atomic<bool>* shutdown_flag_;
     wal::Log* wal_;
-    // Ids restored from the WAL: if the inner replica's replay re-emits
-    // one (at-least-once above its durable watermark), the sink drops the
-    // duplicate instead of double-counting it.
-    std::unordered_set<MsgId> replayed_;
 
     std::unique_ptr<Process> inner_;
     // Protocol traffic that raced ahead of our RUN_SPEC (a peer that
@@ -117,8 +107,6 @@ private:
 
     mutable std::mutex deliveries_mutex_;
     std::vector<MsgId> deliveries_;
-    std::vector<MsgId> reported_;  // deliveries_ at the last REPORT
-    bool report_answered_ = false;
     std::uint64_t digest_ = 0;
     // KV workload only (spec.workload == kv): this replica's shard of the
     // partitioned store. Built at RUN_SPEC (the group/shard mapping needs

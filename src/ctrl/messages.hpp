@@ -268,7 +268,8 @@ struct DriverDoneMsg {
 
 // REPLICA_DONE: the replica's delivery record in digest form. Replicas of
 // one group must agree on the exact delivery sequence, so (count, digest)
-// equality across a group is the distributed run's ordering check.
+// equality across a group is the distributed run's ordering check; when
+// every op goes to every group, the groups must agree with each other too.
 struct ReplicaDoneMsg {
     std::uint64_t delivered = 0;
     std::uint64_t digest = 0;  // order-sensitive FNV-1a over the sequence

@@ -60,8 +60,6 @@ std::optional<NodeOptions> parse_node_args(int argc, const char* const* argv,
                                  [&](long long x) { o.net_shards = static_cast<int>(x); })) != 0) {
         } else if ((v = flag_value(argv[i], "--topology"))) {
             o.topology_file = v;
-        } else if ((v = flag_value(argv[i], "--out"))) {
-            o.out = v;
         } else if ((v = flag_value(argv[i], "--metrics-dump"))) {
             o.metrics_dump = v;
         } else if ((r = int_flag("--metrics-interval-ms", 10, 3'600'000,

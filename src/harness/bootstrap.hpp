@@ -27,7 +27,6 @@ struct NodeOptions {
     // 0 = auto (hardware concurrency).
     int net_shards = 0;
     int run_ms = 6000;
-    std::string out;
     // Durability: directory for this replica's write-ahead log (empty =
     // volatile). A restarted replica replays <wal_dir>/p<pid>.wal and
     // rejoins with its pre-crash state. `wal_sync` is the fsync policy:

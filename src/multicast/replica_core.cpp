@@ -3,7 +3,6 @@
 #include <cstdint>
 
 #include "common/assert.hpp"
-#include "wal/records.hpp"
 
 namespace wbam {
 
@@ -29,10 +28,15 @@ void ReplicaCore::deliver(Context& ctx, Timestamp gts, const AppMessage& m) {
     max_delivered_gts_ = gts;
     // Durable before the handler's group-commit releases any message (and
     // before the app ever acks): replay re-emits exactly the deliveries
-    // above the last watermark.
-    if (cfg_.wal)
-        cfg_.wal->append(wal::tag(wal::RecordType::watermark),
-                         wal::encode_watermark(max_delivered_gts_));
+    // whose record is missing, all above the last logged gts.
+    if (cfg_.wal) {
+        const wal::DeliveredRecord rec{gts, m.id};
+        if (cfg_.wal->in_replay())
+            replay_delivered_.push_back(rec);
+        else
+            cfg_.wal->append(wal::tag(wal::RecordType::delivered),
+                             wal::encode_delivered(rec));
+    }
     stages_.record(obs::Stage::delivered, m.submit_ts, ctx.now());
     sink_(ctx, g0_, m);
     acks_.on_delivered(ctx, m.id);
@@ -41,9 +45,20 @@ void ReplicaCore::deliver(Context& ctx, Timestamp gts, const AppMessage& m) {
 
 void ReplicaCore::restore_watermark() {
     for (const wal::Record& r : cfg_.wal->recovered())
-        if (r.type == wal::tag(wal::RecordType::watermark))
-            max_delivered_gts_ =
-                std::max(max_delivered_gts_, wal::decode_watermark(r.body));
+        if (r.type == wal::tag(wal::RecordType::delivered))
+            max_delivered_gts_ = std::max(max_delivered_gts_,
+                                          wal::decode_delivered(r.body).gts);
+}
+
+void ReplicaCore::replay_records(
+    const std::function<void(std::uint8_t type, const BufferSlice& body)>&
+        fn) {
+    cfg_.wal->replay(fn);
+    for (const wal::DeliveredRecord& rec : replay_delivered_)
+        cfg_.wal->append(wal::tag(wal::RecordType::delivered),
+                         wal::encode_delivered(rec));
+    std::vector<wal::DeliveredRecord>().swap(replay_delivered_);
+    cfg_.wal->commit();
 }
 
 void ReplicaCore::arm_gc(Context& ctx) {

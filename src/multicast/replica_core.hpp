@@ -10,12 +10,17 @@
 //    handler's sends released, each as its own frame, so no message
 //    leaves the process before the records its handler appended are
 //    durable. Without a WAL the handler sends directly.
-//  * The delivery point: compaction queue, watermark, durable watermark
-//    record, `delivered` stage point, sink and client ack, in that order,
-//    then at most gc_steps_per_delivery steps of compaction debt.
-//  * WAL pass 1: the last durable watermark, restored before a row
-//    replays its own records so that everything delivered before the
-//    crash is recognised as delivered.
+//  * The delivery point: compaction queue, watermark, the `delivered`
+//    WAL record, `delivered` stage point, sink and client ack, in that
+//    order, then at most gc_steps_per_delivery steps of compaction debt.
+//    The `delivered` record {gts, id} is the replica's one durable record
+//    of a delivery: its watermark is rebuilt from these records, and so
+//    is the bench plane's delivery sequence (ctrl::NodeShim).
+//  * WAL pass 1: the watermark, the highest `delivered` gts, restored
+//    before a row replays its own records so that everything delivered
+//    before the crash is recognised as delivered.
+//  * WAL pass 2's wrapper: a row's replay runs with appends muted, so the
+//    deliveries it re-emits (above the watermark) are logged once it ends.
 //  * The delivered-floor GC exchange (multicast/gc_floor.hpp): one GC
 //    timer, the member report, the leader round and the prune floor.
 //    A round only raises the floor; the compaction it licenses is paid
@@ -31,12 +36,16 @@
 #ifndef WBAM_MULTICAST_REPLICA_CORE_HPP
 #define WBAM_MULTICAST_REPLICA_CORE_HPP
 
+#include <functional>
+#include <vector>
+
 #include "multicast/api.hpp"
 #include "multicast/client_ack.hpp"
 #include "multicast/gc_floor.hpp"
 #include "obs/stage.hpp"
 #include "wal/hold_context.hpp"
 #include "wal/log.hpp"
+#include "wal/records.hpp"
 
 namespace wbam {
 
@@ -92,16 +101,24 @@ protected:
 
     // The delivery point. Queues m for compaction and, unless `gts` is
     // at-or-below the watermark (delivered already: a WAL replay or a
-    // re-announcement), advances the watermark, makes it durable, records
-    // the `delivered` stage, hands m to the sink and compacts at most
-    // gc_steps_per_delivery entries at or below the floor. Deliveries
-    // happen in strictly increasing gts order at each member, so the
-    // watermark is also the dedupe. Either way the ack rule learns that m
-    // is delivered here, and acks it if a client is waiting.
+    // re-announcement), advances the watermark, logs the delivery,
+    // records the `delivered` stage, hands m to the sink and compacts at
+    // most gc_steps_per_delivery entries at or below the floor.
+    // Deliveries happen in strictly increasing gts order at each member,
+    // so the watermark is also the dedupe. Either way the ack rule learns
+    // that m is delivered here, and acks it if a client is waiting.
     void deliver(Context& ctx, Timestamp gts, const AppMessage& m);
 
-    // WAL pass 1: the highest durable watermark.
+    // WAL pass 1: the watermark, the highest gts among the `delivered`
+    // records.
     void restore_watermark();
+    // WAL pass 2: hands every recovered record to `fn` (wal::Log::replay,
+    // appends muted), then logs and commits the deliveries the replay
+    // re-emitted, in delivery order, so the next restart's watermark and
+    // delivery sequence include them.
+    void replay_records(
+        const std::function<void(std::uint8_t type, const BufferSlice& body)>&
+            fn);
 
     // --- delivered-floor GC --------------------------------------------------
     // Arms the GC timer (ReplicaConfig::gc_enabled / gc_interval).
@@ -160,6 +177,9 @@ private:
     TimerId gc_timer_ = invalid_timer;
     Timestamp gc_floor_;        // compaction is licensed up to here
     Timestamp licensed_floor_;  // gc_floor_ as of the previous GC tick
+    // Deliveries a WAL replay re-emitted, logged once the log takes
+    // appends again (replay_records).
+    std::vector<wal::DeliveredRecord> replay_delivered_;
 };
 
 }  // namespace wbam

@@ -1,5 +1,6 @@
 #include "net/send_queue.hpp"
 
+#include <sys/socket.h>
 #include <sys/uio.h>
 
 #include <algorithm>
@@ -65,7 +66,13 @@ SendQueue::FlushStatus SendQueue::flush(int fd, bool* progressed) {
             }
             offset = 0;  // only the head frame is partially written
         }
-        const ssize_t n = ::writev(fd, iov, iovcnt);
+        // One gather-write per batch, as writev, but a peer that closed
+        // its end gets EPIPE (FlushStatus::error) instead of SIGPIPE
+        // killing the whole process.
+        msghdr msg{};
+        msg.msg_iov = iov;
+        msg.msg_iovlen = static_cast<std::size_t>(iovcnt);
+        const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
                 return FlushStatus::blocked;

@@ -64,10 +64,11 @@ public:
     void push_control_front(DataHeader hdr, BufferSlice body);
 
     // Gathered-write flush: builds iovec batches over the queue (honoring
-    // a partially-written head frame) and issues ONE writev per batch
+    // a partially-written head frame) and issues ONE gathered write
+    // (sendmsg with MSG_NOSIGNAL, so `fd` must be a socket) per batch
     // until the queue drains, the kernel blocks, or the write fails.
     // Completed DATA frames move to the retransmit buffer. Sets
-    // *progressed when at least one writev succeeded.
+    // *progressed when at least one write succeeded.
     FlushStatus flush(int fd, bool* progressed = nullptr);
 
     // Cumulative ack from the peer: frames with seq <= upto are done.

@@ -207,12 +207,13 @@ void RsmReplica<Ext>::replay_wal(Context& ctx) {
     // already delivered and made durable (the deliver() guard).
     restore_watermark();
     // Pass 2: feed the paxos engine in log order. The apply callbacks
-    // rebuild the application log deterministically; sends are muted (the
-    // pre-crash process already sent the originals, and the retry/catch-up
-    // machinery re-syncs whatever peers still miss).
+    // rebuild the application log deterministically and re-emit the
+    // deliveries above the watermark (logged once the replay ends); sends
+    // are muted (the pre-crash process already sent the originals, and
+    // the retry/catch-up machinery re-syncs whatever peers still miss).
     wal::MuteContext mute(ctx);
     paxos_.begin_restore();
-    log.replay([&](std::uint8_t type, const BufferSlice& body) {
+    replay_records([&](std::uint8_t type, const BufferSlice& body) {
         switch (static_cast<wal::RecordType>(type)) {
             case wal::RecordType::paxos_promised:
                 paxos_.restore_promised(wal::decode_promised(body));
@@ -235,7 +236,7 @@ void RsmReplica<Ext>::replay_wal(Context& ctx) {
                 break;
             }
             default:
-                break;  // watermarks were folded in during pass 1
+                break;  // deliveries were folded in during pass 1
         }
     });
     paxos_.finish_restore();

@@ -5,21 +5,12 @@
 
 namespace wbam::skeen {
 
-namespace {
-
-ReplicaConfig without_wal(ReplicaConfig cfg) {
-    cfg.wal = nullptr;
-    return cfg;
-}
-
-}  // namespace
-
 SkeenReplica::SkeenReplica(const Topology& topo, ProcessId pid,
                            DeliverySink sink, ReplicaConfig cfg)
     : ReplicaCore("skeen",
                   GcTags{static_cast<std::uint8_t>(MsgType::gc_status),
                          static_cast<std::uint8_t>(MsgType::gc_prune)},
-                  topo, pid, std::move(sink), without_wal(cfg)) {
+                  topo, pid, std::move(sink), cfg) {
     WBAM_ASSERT_MSG(topo_.group_size() == 1,
                     "Skeen's protocol assumes singleton reliable groups");
 }

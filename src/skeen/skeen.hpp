@@ -40,7 +40,8 @@ struct ProposeMsg {
 class SkeenReplica final : public ReplicaCore {
 public:
     // The topology must consist of singleton groups (group_size == 1).
-    // Skeen's processes are reliable: ReplicaConfig::wal is not used.
+    // Skeen's processes are reliable, so it never replays: a WAL in
+    // ReplicaConfig::wal only receives the scaffold's `delivered` records.
     SkeenReplica(const Topology& topo, ProcessId pid, DeliverySink sink,
                  ReplicaConfig cfg = {});
 

@@ -90,6 +90,7 @@ public:
     // Hands each record recovered at open to `fn`, in log order.
     void replay(const std::function<void(std::uint8_t type,
                                          const BufferSlice& body)>& fn);
+    bool in_replay() const { return in_replay_; }
 
     // Drops queued-but-uncommitted records without writing them — what a
     // kill -9 between append and commit does. Test hook for the simulated

@@ -1,6 +1,6 @@
 // WAL record tags and the codec for the protocol-agnostic record bodies
-// (paxos log entries, delivery watermarks and GC floors — everything
-// expressible in common/types.hpp vocabulary). Protocol-specific records
+// (paxos log entries, deliveries and GC floors — everything expressible
+// in common/types.hpp vocabulary). Protocol-specific records
 // (wbcast's replicated-entry snapshots) are encoded by their own module;
 // the wal layer treats those bodies as opaque bytes.
 //
@@ -9,11 +9,17 @@
 // along as a retained BufferSlice (Log::append's second part), so the
 // hot path appends without copying command bytes. Decoding aliases the
 // log's boot image the same way.
+//
+// A replica's `delivered` records are its one durable delivery record:
+// ReplicaCore::deliver appends one per delivery, in delivery order. The
+// replica's watermark (the highest gts among them) and the bench plane's
+// delivery sequence (ctrl::NodeShim) are both rebuilt from them.
 #ifndef WBAM_WAL_RECORDS_HPP
 #define WBAM_WAL_RECORDS_HPP
 
 #include <cstdint>
 
+#include "codec/fields.hpp"
 #include "codec/reader.hpp"
 #include "codec/writer.hpp"
 #include "common/bytes.hpp"
@@ -28,12 +34,13 @@ enum class RecordType : std::uint8_t {
     paxos_accepted = 2,  // phase-2 accepted (slot, ballot, command)
     paxos_chosen = 3,    // chosen/learned (slot, command)
     paxos_snapshot = 4,  // installed catch-up snapshot (snap_upto, state)
-    watermark = 5,       // delivery watermark (max delivered gts)
+    // 5: reserved (was a delivery watermark, now derived from `delivered`)
     wb_entry = 6,        // wbcast replicated entry (opaque EntryState body)
     wb_status = 7,       // wbcast ballots + clock (opaque body)
-    app_delivered = 8,   // application-level delivery record (bench shim)
+    // 8: reserved (was the bench shim's copy of each delivered id)
     wb_floor = 9,        // wbcast delivered floor: every delivered entry at
                          // or below it is a payload stub after replay
+    delivered = 10,      // one delivery: (gts, message id)
 };
 
 inline constexpr std::uint8_t tag(RecordType t) {
@@ -135,56 +142,51 @@ inline SnapshotRecord decode_snapshot(const BufferSlice& body) {
     return rec;
 }
 
-// --- app_delivered ------------------------------------------------------
+// --- delivered ----------------------------------------------------------
 
-// One delivered message id, appended by the bench-plane NodeShim right
-// after its sink records the delivery. Rides the same commit batch as the
-// protocol's own records, so a restarted node recovers its full delivery
-// sequence (and order digest) alongside the replica state.
+struct DeliveredRecord {
+    Timestamp gts;
+    MsgId id = invalid_msg;
 
-inline Bytes encode_app_delivered(MsgId id) {
+    bool operator==(const DeliveredRecord&) const = default;
+};
+
+inline Bytes encode_delivered(const DeliveredRecord& d) {
     codec::Writer w;
-    w.u64(id);
+    codec::write_field(w, d.gts);
+    w.u64(d.id);
     return std::move(w).take();
 }
 
-inline MsgId decode_app_delivered(const BufferSlice& body) {
+inline DeliveredRecord decode_delivered(const BufferSlice& body) {
     codec::Reader r(body);
-    const MsgId id = r.u64();
+    DeliveredRecord d;
+    codec::read_field(r, d.gts);
+    d.id = r.u64();
     r.expect_done();
-    return id;
-}
-
-// --- watermark ----------------------------------------------------------
-
-inline Bytes encode_watermark(const Timestamp& ts) {
-    codec::Writer w;
-    w.u64(ts.time);
-    w.zigzag(ts.group);
-    return std::move(w).take();
-}
-
-inline Timestamp decode_watermark(const BufferSlice& body) {
-    codec::Reader r(body);
-    Timestamp ts;
-    ts.time = r.u64();
-    ts.group = static_cast<GroupId>(r.zigzag());
-    r.expect_done();
-    return ts;
+    return d;
 }
 
 // --- wb_floor -----------------------------------------------------------
 
 // One record per raise of a wbcast replica's delivered floor (the group's
 // floor capped by the replica's own watermark), in place of a stub record
-// per compacted entry. Same body as a watermark.
+// per compacted entry.
 
 inline Bytes encode_floor(const Timestamp& floor) {
-    return encode_watermark(floor);
+    codec::Writer w;
+    w.u64(floor.time);
+    w.zigzag(floor.group);
+    return std::move(w).take();
 }
 
 inline Timestamp decode_floor(const BufferSlice& body) {
-    return decode_watermark(body);
+    codec::Reader r(body);
+    Timestamp ts;
+    ts.time = r.u64();
+    ts.group = static_cast<GroupId>(r.zigzag());
+    r.expect_done();
+    return ts;
 }
 
 }  // namespace wbam::wal

@@ -794,10 +794,10 @@ void WbcastReplica::replay_wal(Context&) {
     // it are recognized as already delivered.
     restore_watermark();
     // Pass 2: ballots, clock and entries, in log order. Appends are muted
-    // while replaying (wal::Log::replay), so re-running the mutations does
+    // while replaying (replay_records), so re-running the mutations does
     // not re-log them.
     Timestamp floor;
-    log.replay([&](std::uint8_t type, const BufferSlice& body) {
+    replay_records([&](std::uint8_t type, const BufferSlice& body) {
         if (type == wal::tag(wal::RecordType::wb_floor)) {
             floor = std::max(floor, wal::decode_floor(body));
         } else if (type == wal::tag(wal::RecordType::wb_status)) {

@@ -50,8 +50,7 @@ private:
 TEST(BootstrapArgsTest, FullFlagSetParses) {
     const auto o = parse({"--pid=7", "--topology=/tmp/t.topo",
                           "--epoch-ns=123456789", "--net-shards=4",
-                          "--run-ms=1234", "--out=/tmp/x.txt",
-                          "--wal-dir=/tmp/wal", "--wal-sync=always",
+                          "--run-ms=1234", "--wal-dir=/tmp/wal", "--wal-sync=always",
                           "--metrics-dump=/tmp/m.jsonl",
                           "--metrics-interval-ms=250", "-v"});
     ASSERT_TRUE(o.has_value());
@@ -60,7 +59,6 @@ TEST(BootstrapArgsTest, FullFlagSetParses) {
     EXPECT_EQ(o->epoch_ns, 123456789);
     EXPECT_EQ(o->net_shards, 4);
     EXPECT_EQ(o->run_ms, 1234);
-    EXPECT_EQ(o->out, "/tmp/x.txt");
     EXPECT_EQ(o->wal_dir, "/tmp/wal");
     EXPECT_EQ(o->wal_sync, "always");
     EXPECT_EQ(o->metrics_dump, "/tmp/m.jsonl");
@@ -91,13 +89,14 @@ TEST(BootstrapArgsTest, MalformedArgsRejected) {
     }
 }
 
-// The self-driving mode's flags are gone: a launcher still passing one
-// must fail at argv parsing, not run a silently different experiment.
+// The self-driving mode's flags and the per-replica sequence file are
+// gone: a launcher still passing one must fail at argv parsing, not run a
+// silently different experiment.
 TEST(BootstrapArgsTest, RemovedFlagsAreUnknownArguments) {
     for (const char* removed :
          {"--bench", "--proto=wbcast", "--msgs=25", "--payload=32",
           "--groups=2", "--group-size=3", "--clients=1", "--base-port=9000",
-          "--peers=a:1,b:2"}) {
+          "--peers=a:1,b:2", "--out=/tmp/x.txt"}) {
         std::string error;
         EXPECT_FALSE(
             parse({"--pid=0", "--topology=t", removed}, &error).has_value())

@@ -11,6 +11,8 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -22,6 +24,7 @@
 #include "multicast/client_ack.hpp"
 #include "sim/network.hpp"
 #include "wal/log.hpp"
+#include "wal/records.hpp"
 
 namespace wbam {
 namespace {
@@ -241,6 +244,12 @@ public:
         if (env.module == codec::Module::ctrl &&
             env.type == static_cast<std::uint8_t>(ctrl::CtrlMsgType::ready))
             ctx.send(from, ctrl::encode_ctrl(ctrl::CtrlMsgType::run_spec, spec_));
+        if (env.module == codec::Module::ctrl &&
+            env.type ==
+                static_cast<std::uint8_t>(ctrl::CtrlMsgType::replica_done)) {
+            codec::Reader body = env.body;
+            reports[from] = ctrl::ReplicaDoneMsg::decode(body);
+        }
         if (env.module == codec::Module::client &&
             env.type == static_cast<std::uint8_t>(ClientMsgType::deliver_ack))
             acks.push_back({from, env.about, ctx.now()});
@@ -251,8 +260,12 @@ public:
     void request(ProcessId to, const AppMessage& m) {
         ctx_->send(to, encode_multicast_request(m));
     }
+    void report(ProcessId to) {
+        ctx_->send(to, ctrl::encode_ctrl(ctrl::CtrlMsgType::report));
+    }
 
     std::vector<Ack> acks;
+    std::map<ProcessId, ctrl::ReplicaDoneMsg> reports;  // the latest each
 
 private:
     ctrl::BenchSpec spec_;
@@ -349,6 +362,136 @@ TEST_P(ShimRestartAckTest, ReplayAcksNobodyAndAResendIsReackedFromTheWal) {
     std::filesystem::remove_all(dir);
 }
 
+// Cuts the trailing `delivered` records off a closed log file, as a kill -9
+// in the middle of the last commit's write would. Returns how many.
+std::size_t tear_trailing_deliveries(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    const std::vector<std::uint8_t> image(std::istreambuf_iterator<char>(in),
+                                          {});
+    // Frames: [len: u32 LE][crc: u32][type: u8][body: len-1 bytes].
+    std::size_t cut = image.size();
+    std::size_t torn = 0;
+    for (std::size_t at = 0; at + 9 <= image.size();) {
+        std::uint32_t len = 0;
+        for (int i = 3; i >= 0; --i) len = (len << 8) | image[at + i];
+        if (image[at + 8] != wal::tag(wal::RecordType::delivered)) {
+            torn = 0;
+        } else if (torn++ == 0) {
+            cut = at;  // the first of a run of trailing deliveries
+        }
+        at += 8 + len;
+    }
+    in.close();
+    if (torn > 0) std::filesystem::resize_file(path, cut);
+    return torn;
+}
+
+// The shim rebuilds its (count, digest) from the replica's `delivered`
+// records, so a restarted shim reports its group's, after one restart and
+// after two. The first crash tears the victim's last deliveries off its
+// log: the restart re-emits them while replaying (appends muted), and the
+// second restart finds them only if the scaffold logged them afterwards.
+TEST_P(ShimRestartAckTest, RestartedShimReportsItsGroupsDigest) {
+    const Topology topo(2, 3, 1);
+    const std::string dir = testing::TempDir() + "client_ack_digest_" +
+                            param_name(GetParam());
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    auto path = [&](ProcessId p) {
+        return dir + "/p" + std::to_string(p) + ".wal";
+    };
+    std::vector<std::unique_ptr<wal::Log>> wals;
+    for (ProcessId p = 0; p < topo.num_replicas(); ++p)
+        wals.push_back(std::make_unique<wal::Log>(path(p),
+                                                  wal::SyncMode::group_commit));
+
+    ctrl::BenchSpec spec;
+    spec.proto = GetParam();
+    spec.heartbeat_interval = milliseconds(5);
+    spec.retry_interval = milliseconds(25);
+    const ProcessId coord = topo.client(0);
+    std::vector<std::atomic<bool>> flags(
+        static_cast<std::size_t>(topo.num_replicas()));
+    {
+        sim::World world(topo, std::make_unique<sim::UniformDelay>(milliseconds(1)),
+                         7);
+        for (ProcessId p = 0; p < topo.num_replicas(); ++p)
+            world.add_process(p, std::make_unique<ctrl::NodeShim>(
+                                     topo, p, coord,
+                                     &flags[static_cast<std::size_t>(p)],
+                                     wals[static_cast<std::size_t>(p)].get()));
+        auto owned = std::make_unique<ShimClient>(spec);
+        ShimClient* client = owned.get();
+        world.add_process(coord, std::move(owned));
+        world.start();
+
+        const ProcessId leader = topo.initial_leader(0);
+        const ProcessId victim = topo.member(0, 1);
+        auto issue = [&](std::uint32_t first, std::uint32_t n, TimePoint from) {
+            for (std::uint32_t i = 0; i < n; ++i)
+                world.at(from + milliseconds(5 * i),
+                         [client, leader, m = make_app_message(
+                                              make_msg_id(coord, first + i),
+                                              {0}, Bytes{0x42})] {
+                             client->request(leader, m);
+                         });
+        };
+        std::size_t torn = 0;
+        auto restart = [&](TimePoint crash_at, TimePoint restart_at,
+                           bool tear) {
+            world.at(crash_at, [&] { world.crash(victim); });
+            world.at(restart_at, [&, tear] {
+                auto& log = wals[static_cast<std::size_t>(victim)];
+                log->discard_pending();
+                log.reset();
+                if (tear) torn = tear_trailing_deliveries(path(victim));
+                log = std::make_unique<wal::Log>(path(victim),
+                                                 wal::SyncMode::group_commit);
+                world.restart(victim,
+                              std::make_unique<ctrl::NodeShim>(
+                                  topo, victim, coord,
+                                  &flags[static_cast<std::size_t>(victim)],
+                                  log.get()));
+            });
+        };
+        // Every member's (count, digest) as its REPORT answer gives it.
+        auto expect_group_agrees = [&](std::uint64_t ops, const char* when) {
+            const ctrl::ReplicaDoneMsg& first =
+                client->reports.at(topo.member(0, 0));
+            EXPECT_EQ(first.delivered, ops) << when;
+            for (const ProcessId p : topo.members(0)) {
+                const ctrl::ReplicaDoneMsg& done = client->reports.at(p);
+                EXPECT_EQ(done.delivered, first.delivered) << when << " p" << p;
+                EXPECT_EQ(done.digest, first.digest) << when << " p" << p;
+            }
+        };
+        auto report_at = [&](TimePoint at) {
+            world.at(at, [&] {
+                client->reports.clear();
+                for (const ProcessId p : topo.members(0)) client->report(p);
+            });
+        };
+
+        // 102 ms: right after a delivery handler on every row, so the
+        // victim's log ends in `delivered` records. The restarted member
+        // catches up on what it missed by the GC exchange (every 250 ms).
+        issue(0, 40, milliseconds(20));  // until 215 ms
+        restart(milliseconds(102), milliseconds(152), true);
+        report_at(milliseconds(590));
+        world.run_until(milliseconds(600));
+        EXPECT_GE(torn, 1u) << "the first crash tore no delivery off the log";
+        expect_group_agrees(40, "after one restart");
+
+        issue(40, 20, milliseconds(610));  // until 705 ms
+        restart(milliseconds(650), milliseconds(680), false);
+        report_at(milliseconds(1190));
+        world.run_until(milliseconds(1200));
+        expect_group_agrees(60, "after two restarts");
+    }
+    wals.clear();
+    std::filesystem::remove_all(dir);
+}
+
 INSTANTIATE_TEST_SUITE_P(FaultTolerantProtocols, ShimRestartAckTest,
                          ::testing::Values(ProtocolKind::wbcast,
                                            ProtocolKind::ftskeen,
@@ -358,7 +501,7 @@ INSTANTIATE_TEST_SUITE_P(FaultTolerantProtocols, ShimRestartAckTest,
 // --- (e) a harness replica across a WAL restart ---------------------------
 
 // The drill of (d) through Cluster::restart_replica, without NodeShim and
-// its app_delivered records: the replica re-marks its delivered past
+// its rebuilt delivery sequence: the replica re-marks its delivered past
 // while it replays its own WAL, so a resend of a pre-crash op is re-acked
 // at once, though replay suppresses the op's delivery.
 class HarnessRestartAckTest : public ::testing::TestWithParam<ProtocolKind> {};

@@ -370,7 +370,7 @@ TEST(CtrlPlaneTest, RelativeWindowsWorkWithoutSharedEpoch) {
     EXPECT_GT(fx.coordinator->result_point().ops, 0u);
 }
 
-// --- the shim's own WAL records ---------------------------------------------
+// --- the replica's delivery records behind the shim -------------------------
 
 // Plays the two roles a shim talks to in a sim::World: the coordinator
 // (answers READY with RUN_SPEC) and a driver (sends requests on command).
@@ -398,9 +398,10 @@ private:
     Context* ctx_ = nullptr;
 };
 
-// Skeen keeps no WAL of its own, so nothing but the shim commits the
-// shim's app_delivered records. They must be durable while the run goes
-// on: a second Log opened on the file of a live shim recovers them all.
+// Skeen never replays, but it hands its WAL to the scaffold like every
+// row: each delivery's `delivered` record is committed by the handler
+// wrapper. They must be durable while the run goes on: a second Log
+// opened on the file of a live shim recovers them all.
 TEST(NodeShimWalTest, RowWithoutWalStillCommitsDeliveryRecords) {
     const Topology topo(2, 1, 1);
     const std::string dir = testing::TempDir() + "ctrl_shim_wal";
@@ -447,7 +448,7 @@ TEST(NodeShimWalTest, RowWithoutWalStillCommitsDeliveryRecords) {
             const wal::Log reader(path(p), wal::SyncMode::off);
             std::size_t delivered = 0;
             for (const wal::Record& r : reader.recovered())
-                if (r.type == wal::tag(wal::RecordType::app_delivered))
+                if (r.type == wal::tag(wal::RecordType::delivered))
                     ++delivered;
             EXPECT_EQ(delivered, n) << "p" << p;
         }
@@ -533,6 +534,133 @@ TEST(CtrlPlaneSimKvTest, AppStateHashValidates) {
         // Ops were applied, not just delivered: not an empty shard's hash.
         EXPECT_NE(r.groups[g].app_hash, kv::ShardState(g, 2).state_hash());
     }
+}
+
+// --- the coordinator's check, fed scripted reports --------------------------
+
+// Plays a replica or a driver towards the coordinator: READY at start,
+// SPEC_OK for RUN_SPEC, DRIVER_DONE at START (a driver), and the scripted
+// REPLICA_DONE for every REPORT (a replica).
+class ScriptedNode final : public Process {
+public:
+    ScriptedNode(ProcessId coordinator, ctrl::NodeRole role,
+                 ctrl::ReplicaDoneMsg done = {})
+        : coordinator_(coordinator), role_(role), done_(std::move(done)) {}
+
+    void on_start(Context& ctx) override {
+        ctx.send(coordinator_, ctrl::encode_ctrl(CtrlMsgType::ready,
+                                                 ctrl::ReadyMsg{role_}));
+    }
+    void on_message(Context& ctx, ProcessId, const BufferSlice& bytes) override {
+        const codec::EnvelopeView env(bytes);
+        switch (static_cast<CtrlMsgType>(env.type)) {
+            case CtrlMsgType::run_spec:
+                ctx.send(coordinator_, ctrl::encode_ctrl(CtrlMsgType::spec_ok));
+                return;
+            case CtrlMsgType::start:
+                if (role_ == ctrl::NodeRole::driver)
+                    ctx.send(coordinator_,
+                             ctrl::encode_ctrl(CtrlMsgType::driver_done,
+                                               ctrl::DriverDoneMsg{}));
+                return;
+            case CtrlMsgType::report:
+                if (role_ == ctrl::NodeRole::replica)
+                    ctx.send(coordinator_,
+                             ctrl::encode_ctrl(CtrlMsgType::replica_done, done_));
+                return;
+            default:
+                return;
+        }
+    }
+    void on_timer(Context&, TimerId) override {}
+
+private:
+    ProcessId coordinator_;
+    ctrl::NodeRole role_;
+    ctrl::ReplicaDoneMsg done_;
+};
+
+// A coordinator on 2 groups x 3 replicas, every replica answering with
+// dones[pid], run until it finishes.
+struct ScriptedRun {
+    ScriptedRun(BenchSpec spec, const std::vector<ctrl::ReplicaDoneMsg>& dones)
+        : world(topo, std::make_unique<sim::UniformDelay>(milliseconds(1)), 5) {
+        ctrl::CoordinatorConfig ccfg;
+        ccfg.spec = spec;
+        ccfg.quiesce = milliseconds(20);
+        ccfg.report_retry = milliseconds(20);
+        ccfg.report_attempts = 2;
+        ccfg.deadline = seconds(5);
+        const ProcessId coord_pid = topo.client(1);
+        auto c = std::make_unique<ctrl::Coordinator>(topo, ccfg);
+        coordinator = c.get();
+        world.add_process(coord_pid, std::move(c));
+        for (ProcessId p = 0; p < topo.num_replicas(); ++p)
+            world.add_process(p, std::make_unique<ScriptedNode>(
+                                     coord_pid, ctrl::NodeRole::replica,
+                                     dones.at(static_cast<std::size_t>(p))));
+        world.add_process(topo.client(0),
+                          std::make_unique<ScriptedNode>(
+                              coord_pid, ctrl::NodeRole::driver));
+        world.start();
+        while (!coordinator->finished()) world.run_for(milliseconds(10));
+    }
+
+    const Topology topo{2, 3, 2};
+    sim::World world;
+    const ctrl::Coordinator* coordinator = nullptr;
+};
+
+ctrl::ReplicaDoneMsg done_of(const std::vector<MsgId>& sequence) {
+    ctrl::ReplicaDoneMsg d;
+    d.delivered = sequence.size();
+    for (const MsgId id : sequence)
+        d.digest = ctrl::fold_delivery_digest(d.digest, id);
+    return d;
+}
+
+// Each group agrees with itself, but group 1 delivered the two all-groups
+// ops in the other order: the ordering property fails across groups.
+TEST(CoordinatorCheckTest, GroupsOrderingAllGroupOpsApartFailTheRun) {
+    const MsgId a = make_msg_id(6, 1);
+    const MsgId b = make_msg_id(6, 2);
+    const ctrl::ReplicaDoneMsg ab = done_of({a, b});
+    const ctrl::ReplicaDoneMsg ba = done_of({b, a});
+    BenchSpec spec;
+    spec.dest_groups = 2;
+    const ScriptedRun swapped(spec, {ab, ab, ab, ba, ba, ba});
+    EXPECT_FALSE(swapped.coordinator->succeeded());
+    EXPECT_NE(swapped.coordinator->error().find("group 1"), std::string::npos)
+        << swapped.coordinator->error();
+
+    const ScriptedRun agreed(spec, {ab, ab, ab, ab, ab, ab});
+    EXPECT_TRUE(agreed.coordinator->succeeded()) << agreed.coordinator->error();
+
+    // One destination group per op: the groups deliver different ops, and
+    // each is only checked against itself.
+    spec.dest_groups = 1;
+    const ScriptedRun single(spec, {ab, ab, ab, ba, ba, ba});
+    EXPECT_TRUE(single.coordinator->succeeded()) << single.coordinator->error();
+}
+
+// Every replica agrees on an empty sequence: a run in which a group
+// delivered nothing fails, whatever the destinations.
+TEST(CoordinatorCheckTest, GroupThatDeliveredNothingFailsTheRun) {
+    const ctrl::ReplicaDoneMsg none = done_of({});
+    const ctrl::ReplicaDoneMsg one = done_of({make_msg_id(6, 1)});
+    BenchSpec spec;
+    spec.dest_groups = 1;
+    const ScriptedRun empty(spec, {none, none, none, none, none, none});
+    EXPECT_FALSE(empty.coordinator->succeeded());
+    EXPECT_NE(empty.coordinator->error().find("group 0 delivered nothing"),
+              std::string::npos)
+        << empty.coordinator->error();
+
+    const ScriptedRun one_empty(spec, {one, one, one, none, none, none});
+    EXPECT_FALSE(one_empty.coordinator->succeeded());
+    EXPECT_NE(one_empty.coordinator->error().find("group 1 delivered nothing"),
+              std::string::npos)
+        << one_empty.coordinator->error();
 }
 
 INSTANTIATE_TEST_SUITE_P(

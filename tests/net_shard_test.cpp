@@ -351,6 +351,21 @@ TEST(SendQueueTest, PartialWriteResumesByteExact) {
     EXPECT_EQ(received[1].size(), 64u + 2u);  // type + seq(=2) + body
 }
 
+// A peer that closed its end: the write fails with EPIPE, which flush
+// reports as FlushStatus::error for the loop to handle. It must not raise
+// SIGPIPE, whose default action kills the whole process first.
+TEST(SendQueueTest, FlushToAClosedPeerIsAnErrorNotASignal) {
+    SocketPair sp;
+    ASSERT_GE(sp.a, 0);
+    ::close(sp.b);
+    sp.b = -1;
+    SendQueue q;
+    q.push_data(body_of(100, 0x5a));
+    EXPECT_EQ(q.flush(sp.a), SendQueue::FlushStatus::error);
+    EXPECT_EQ(q.pending_frames(), 1u);
+    EXPECT_EQ(q.writev_calls(), 0u);
+}
+
 TEST(SendQueueTest, AckPrunesAndRequeueReplaysUnackedInOrder) {
     SocketPair sp;
     ASSERT_GE(sp.a, 0);

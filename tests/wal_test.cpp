@@ -211,8 +211,8 @@ TEST(WalRecords, PaxosAndWatermarkCodecsRoundTrip) {
     EXPECT_EQ(sr.snap_upto, 123u);
     EXPECT_EQ(sr.state.to_bytes(), cmd);
 
-    const Timestamp ts{77, 3};
-    EXPECT_EQ(decode_watermark(BufferSlice(encode_watermark(ts))), ts);
+    const DeliveredRecord d{Timestamp{77, 3}, 0xfeedbeefu};
+    EXPECT_EQ(decode_delivered(BufferSlice(encode_delivered(d))), d);
 }
 
 // wbcast's delivered-floor record: one per floor raise, tag 9 on disk.
