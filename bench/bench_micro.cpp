@@ -372,15 +372,13 @@ SweepPoint measure_sweep_point(std::size_t payload) {
     return out;
 }
 
-// --- transport saturation (sharded event loops) -------------------------------
+// --- transport saturation ----------------------------------------------------
 //
-// Raw messages/sec of the TCP transport across shard counts: P echo pairs
-// over loopback, blasters in one NetWorld, echo sinks in another, each
-// blaster keeping `window` round trips in flight. Pair affinity spreads
-// the P channels across the event-loop shards, so the shard axis {1,2,4}
-// measures how the transport scales with cores — the numbers land in
+// Raw messages/sec of the TCP transport: P echo pairs over loopback,
+// blasters in one NetWorld, echo sinks in another (one loop thread each),
+// each blaster keeping `window` round trips in flight. The numbers land in
 // BENCH_micro.json's "saturation" section (messages_per_sec and
-// messages_per_sec_per_core, median of 3 runs), tracked non-gating in CI.
+// frames_per_writev, median of 3 runs), tracked non-gating in CI.
 
 class EchoSink final : public Process {
 public:
@@ -431,12 +429,11 @@ struct SaturationRun {
     bool completed = false;
 };
 
-SaturationRun run_saturation(int shards, int pairs, int msgs_per_pair,
-                             int window, std::size_t payload) {
+SaturationRun run_saturation(int pairs, int msgs_per_pair, int window,
+                             std::size_t payload) {
     const int n = 2 * pairs;
     const Topology topo(1, 1, n - 1);
     net::NetConfig cfg;
-    cfg.shards = shards;
     cfg.epoch = std::chrono::steady_clock::now();
 
     std::atomic<std::uint64_t> completed{0};
@@ -489,14 +486,12 @@ SaturationRun run_saturation(int shards, int pairs, int msgs_per_pair,
 }
 
 struct SaturationPoint {
-    int shards = 0;
     SaturationRun median;  // of 3 runs, by messages/sec
     double messages_per_sec = 0;
-    double messages_per_sec_per_core = 0;
     double frames_per_writev = 0;
 };
 
-SaturationPoint measure_saturation_point(int shards) {
+SaturationPoint measure_saturation() {
     const bool quick = std::getenv("WBAM_BENCH_QUICK") != nullptr;
     const int pairs = 8;
     const int msgs = quick ? 400 : 4000;
@@ -505,7 +500,7 @@ SaturationPoint measure_saturation_point(int shards) {
     const int runs = quick ? 1 : 3;
     std::vector<SaturationRun> results;
     for (int r = 0; r < runs; ++r)
-        results.push_back(run_saturation(shards, pairs, msgs, window, payload));
+        results.push_back(run_saturation(pairs, msgs, window, payload));
     std::sort(results.begin(), results.end(),
               [](const SaturationRun& a, const SaturationRun& b) {
                   const double ra = a.seconds > 0
@@ -519,21 +514,17 @@ SaturationPoint measure_saturation_point(int shards) {
                   return ra < rb;
               });
     SaturationPoint out;
-    out.shards = shards;
     out.median = results[results.size() / 2];
     if (out.median.seconds > 0)
         out.messages_per_sec =
             static_cast<double>(out.median.messages) / out.median.seconds;
-    out.messages_per_sec_per_core = out.messages_per_sec / shards;
     if (out.median.writev_calls > 0)
         out.frames_per_writev =
             static_cast<double>(out.median.frames_sent) /
             static_cast<double>(out.median.writev_calls);
     std::fprintf(stderr,
-                 "saturation shards=%d: %.0f msgs/s (%.0f per core), "
-                 "%.2f frames/writev%s\n",
-                 shards, out.messages_per_sec, out.messages_per_sec_per_core,
-                 out.frames_per_writev,
+                 "saturation: %.0f msgs/s, %.2f frames/writev%s\n",
+                 out.messages_per_sec, out.frames_per_writev,
                  out.median.completed ? "" : " [TIMED OUT]");
     return out;
 }
@@ -771,10 +762,7 @@ void write_bench_json() {
         std::fprintf(f, "}");
     }
     std::fprintf(f, "\n    ]\n  },\n");
-    // Transport saturation across event-loop shard counts. per_core divides
-    // by the shard count, so flat per-core numbers across the axis mean the
-    // sharded transport scales; speedup_4_over_1 is the CI headline (needs
-    // >= 4 real cores to show > 1).
+    // Transport saturation: one point, 8 echo pairs between two worlds.
     std::fprintf(f, "  \"saturation\": {\n");
     std::fprintf(f,
                  "    \"scenario\": \"8 echo pairs over loopback TCP, 64-byte "
@@ -784,37 +772,20 @@ void write_bench_json() {
                  std::thread::hardware_concurrency());
     std::fprintf(f, "    \"median_of\": %d,\n",
                  std::getenv("WBAM_BENCH_QUICK") != nullptr ? 1 : 3);
-    std::fprintf(f, "    \"shard_axis\": [\n");
-    const int shard_axis[] = {1, 2, 4};
-    double rate_at_1 = 0, rate_at_4 = 0;
-    bool first_shard = true;
-    for (const int shards : shard_axis) {
-        const SaturationPoint s = measure_saturation_point(shards);
-        if (shards == 1) rate_at_1 = s.messages_per_sec;
-        if (shards == 4) rate_at_4 = s.messages_per_sec;
-        std::fprintf(f, "%s", first_shard ? "" : ",\n");
-        first_shard = false;
+    {
+        const SaturationPoint s = measure_saturation();
         std::fprintf(f,
-                     "      {\"shards\": %d, \"messages\": %llu, "
-                     "\"seconds\": %.4f, \"messages_per_sec\": %.0f, "
-                     "\"messages_per_sec_per_core\": %.0f, "
-                     "\"frames_sent\": %llu, \"writev_calls\": %llu, "
-                     "\"frames_per_writev\": %.2f, \"completed\": %s}",
-                     s.shards,
+                     "    \"messages\": %llu, \"seconds\": %.4f, "
+                     "\"messages_per_sec\": %.0f,\n"
+                     "    \"frames_sent\": %llu, \"writev_calls\": %llu, "
+                     "\"frames_per_writev\": %.2f, \"completed\": %s\n",
                      static_cast<unsigned long long>(s.median.messages),
                      s.median.seconds, s.messages_per_sec,
-                     s.messages_per_sec_per_core,
                      static_cast<unsigned long long>(s.median.frames_sent),
                      static_cast<unsigned long long>(s.median.writev_calls),
                      s.frames_per_writev,
                      s.median.completed ? "true" : "false");
     }
-    std::fprintf(f, "\n    ],\n");
-    if (rate_at_1 > 0)
-        std::fprintf(f, "    \"speedup_4_over_1\": %.2f\n",
-                     rate_at_4 / rate_at_1);
-    else
-        std::fprintf(f, "    \"speedup_4_over_1\": null\n");
     std::fprintf(f, "  },\n");
     // WAL durability: per-append cost of the three --wal-sync modes on a
     // fresh log. group_commit_speedup_over_always is the headline: how much

@@ -3,8 +3,7 @@
 //   wbamctl run --topology=FILE [--proto=wbcast] [--dest-groups=1]
 //               [--sessions=4] [--payload=20] [--warmup-ms=500]
 //               [--measure-ms=3000] [--sample-ms=250] [--seed=1]
-//               [--epoch-ns=T] [--net-shards=N]
-//               [--deadline-ms=120000]
+//               [--epoch-ns=T] [--deadline-ms=120000]
 //               [--workload=bytes|kv] [--kv-keys=1000] [--kv-theta=0.99]
 //               [--kv-read-pct=50] [--kv-cross-pct=10]
 //               [--metrics-dump=FILE]
@@ -34,6 +33,7 @@
 //     clients round-robin) or validates an existing one.
 //
 // Deployment modes and the file format: docs/DEPLOYMENT.md.
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
@@ -74,7 +74,6 @@ struct CtlOptions {
     double kv_theta = 0.99;
     int kv_read_pct = 50;
     int kv_cross_pct = 10;
-    int net_shards = 0;  // coordinator-side NetWorld shards; 0 = auto
     int fig = 7;
     bool verbose = false;
     // topology generation
@@ -181,7 +180,6 @@ bool parse_flags(int argc, char** argv, int first, CtlOptions& o) {
                    int_flag("--measure-ms", &o.measure_ms, 1, 3'600'000) ||
                    int_flag("--sample-ms", &o.sample_ms, 1, 60'000) ||
                    int_flag("--deadline-ms", &o.deadline_ms, 1, 86'400'000) ||
-                   int_flag("--net-shards", &o.net_shards, 0, 64) ||
                    int_flag("--fig", &o.fig, 7, 8) ||
                    int_flag("--groups", &o.groups, 1,
                             harness::TopologySpec::max_groups) ||
@@ -213,7 +211,6 @@ ctrl::BenchSpec spec_from(const CtlOptions& o) {
     spec.measure = milliseconds(o.measure_ms);
     spec.sample_interval = milliseconds(o.sample_ms);
     spec.seed = o.seed;
-    spec.net_shards = static_cast<std::uint32_t>(o.net_shards);
     spec.workload = o.workload;
     spec.kv_keys = static_cast<std::uint32_t>(o.kv_keys);
     spec.kv_theta_milli = static_cast<std::uint32_t>(o.kv_theta * 1000.0);
@@ -267,7 +264,6 @@ harness::FigReport fig_report(const CtlOptions& o,
     report.groups = spec.groups;
     report.group_size = spec.group_size;
     report.payload = static_cast<std::uint32_t>(o.payload);
-    report.net_shards = o.net_shards;
     report.name = std::string(harness::to_string(o.proto)) + ", " +
                   std::to_string(spec.groups) + "x" +
                   std::to_string(spec.group_size) + " replicas, " +
@@ -309,8 +305,7 @@ int cmd_run(const CtlOptions& o) {
 
     const auto epoch_ns = static_cast<std::int64_t>(o.epoch_ns);
     net::NetWorld world(topo, static_cast<std::uint64_t>(self) + 1,
-                        harness::node_net_config(boot->map.of(self), epoch_ns,
-                                                 o.net_shards));
+                        harness::node_net_config(boot->map.of(self), epoch_ns));
     auto coordinator =
         std::make_unique<ctrl::Coordinator>(topo, coordinator_config(o));
     ctrl::Coordinator* coord = coordinator.get();
@@ -341,15 +336,17 @@ int cmd_run(const CtlOptions& o) {
     // percentiles), plus an e2e row from the driver-side sample merge.
     // Consecutive p50 deltas (segment_ms) telescope to the delivered
     // median; the e2e segment is the deliver -> client-ack return hop.
+    const obs::MetricsSnapshot merged = coord->merged_metrics();
     const std::string stage_prefix =
         std::string("stage/") + harness::protocol_id(o.proto) + "/";
     double prev_p50 = 0;
     for (int s = 0; s < obs::num_stages; ++s) {
         const char* stage_name = obs::to_string(static_cast<obs::Stage>(s));
-        const auto it =
-            coord->merged_histograms().find(stage_prefix + stage_name);
-        if (it == coord->merged_histograms().end() ||
-            it->second.count() == 0)
+        const std::string key = stage_prefix + stage_name;
+        const auto it = std::find_if(
+            merged.histograms.begin(), merged.histograms.end(),
+            [&](const auto& h) { return h.first == key; });
+        if (it == merged.histograms.end() || it->second.count() == 0)
             continue;
         harness::FigStage row;
         row.name = stage_name;
@@ -369,8 +366,7 @@ int cmd_run(const CtlOptions& o) {
         e2e.segment_ms = e2e.p50_ms - prev_p50;
         report.stages.push_back(std::move(e2e));
     }
-    for (const auto& [name, value] : coord->merged_counters())
-        report.metrics.emplace_back(name, value);
+    report.metrics = merged.counters;
 
     const std::string out = default_out(o);
     if (!report.write(out)) return 1;
@@ -387,11 +383,6 @@ int cmd_run(const CtlOptions& o) {
                         st.segment_ms, st.p99_ms);
     }
     if (!o.metrics_dump.empty()) {
-        obs::MetricsSnapshot merged;
-        merged.counters.assign(coord->merged_counters().begin(),
-                               coord->merged_counters().end());
-        merged.histograms.assign(coord->merged_histograms().begin(),
-                                 coord->merged_histograms().end());
         std::FILE* f = std::fopen(o.metrics_dump.c_str(), "w");
         if (f == nullptr) {
             std::fprintf(stderr, "wbamctl run: cannot write %s\n",

@@ -5,7 +5,7 @@
 // scripts/wbam_deploy.py launches whole loopback, emulated-WAN or
 // multi-host deployments (docs/DEPLOYMENT.md).
 //
-//   wbamd --pid=N --topology=FILE [--epoch-ns=T] [--net-shards=N]
+//   wbamd --pid=N --topology=FILE [--epoch-ns=T]
 //         [--run-ms=6000] [--wal-dir=DIR]
 //         [--wal-sync=off|group|always] [--metrics-dump=FILE]
 //         [--metrics-interval-ms=1000] [-v]
@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
 
     net::NetWorld world(topo, static_cast<std::uint64_t>(o.pid) + 1,
                         harness::node_net_config(boot->map.of(o.pid),
-                                                 o.epoch_ns, o.net_shards));
+                                                 o.epoch_ns));
     std::atomic<bool> done{false};
     ctrl::NodeShim* shim = nullptr;
     if (topo.is_replica(o.pid)) {

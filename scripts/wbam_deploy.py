@@ -296,8 +296,7 @@ def launch_cluster(args, layout, topo_path, exec_in_region, outdir):
         if p == layout.coordinator:
             continue
         cmd = [wbamd, f"--pid={p}", f"--topology={topo_path}",
-               f"--epoch-ns={epoch}", f"--run-ms={run_ms}",
-               f"--net-shards={args.net_shards}"]
+               f"--epoch-ns={epoch}", f"--run-ms={run_ms}"]
         if getattr(args, "verbose", False):
             cmd.append("-v")
         if metrics_dir:
@@ -321,7 +320,7 @@ def launch_cluster(args, layout, topo_path, exec_in_region, outdir):
            f"--sessions={args.sessions}", f"--payload={args.payload}",
            f"--warmup-ms={args.warmup_ms}", f"--measure-ms={args.measure_ms}",
            f"--deadline-ms={run_ms}", f"--fig={args.fig}",
-           f"--net-shards={args.net_shards}", f"--out={args.out}"]
+           f"--out={args.out}"]
     if metrics_dir:
         ctl.append(f"--metrics-dump="
                    f"{os.path.join(metrics_dir, 'metrics_merged.json')}")
@@ -495,7 +494,7 @@ def cmd_ssh(args):
         if p == coordinator:
             continue
         cmd = [wbamd, f"--pid={p}", f"--topology={remote_topo}",
-               f"--run-ms={run_ms}", f"--net-shards={args.net_shards}"]
+               f"--run-ms={run_ms}"]
         if args.metrics_dir:
             # The directory is on the REMOTE host and must already exist
             # (same contract as the binaries and the topology file).
@@ -511,8 +510,7 @@ def cmd_ssh(args):
            f"--dest-groups={args.dest_groups}", f"--sessions={args.sessions}",
            f"--payload={args.payload}", f"--warmup-ms={args.warmup_ms}",
            f"--measure-ms={args.measure_ms}", f"--deadline-ms={run_ms}",
-           f"--fig={args.fig}", f"--net-shards={args.net_shards}",
-           f"--out={args.out}"]
+           f"--fig={args.fig}", f"--out={args.out}"]
     if args.metrics_dir:
         os.makedirs(args.metrics_dir, exist_ok=True)  # wbamctl runs locally
         ctl.append(f"--metrics-dump="
@@ -564,9 +562,6 @@ def main():
         m.add_argument("--warmup-ms", type=int, default=500)
         m.add_argument("--measure-ms", type=int, default=3000)
         m.add_argument("--deadline-slack-ms", type=int, default=30000)
-        m.add_argument("--net-shards", type=int, default=0,
-                       help="transport event-loop shards per process "
-                            "(0 = auto: hardware concurrency)")
         m.add_argument("--workload", default="bytes",
                        choices=("bytes", "kv"),
                        help="bytes = opaque-payload microbenchmark; kv = "

@@ -504,19 +504,24 @@ bool Coordinator::validate_groups(std::string* why) const {
 void Coordinator::finish(Context& ctx) {
     phase_ = Phase::done;
     ok_ = true;
-    // Fold the final (digest-validated) snapshots: re-polled replicas
-    // overwrote their earlier REPLICA_DONE, so each replica contributes
-    // exactly once here.
+    broadcast(ctx, encode_ctrl(CtrlMsgType::shutdown));
+    finished_.store(true);
+}
+
+obs::MetricsSnapshot Coordinator::merged_metrics() const {
+    std::map<std::string, std::uint64_t> counters;
+    std::map<std::string, stats::Histogram> histograms;
     for (const auto& [pid, done] : replica_done_) {
-        for (const auto& [name, v] : done.metrics.counters)
-            merged_counters_[name] += v;
+        for (const auto& [name, v] : done.metrics.counters) counters[name] += v;
         for (const auto& [name, h] : done.metrics.histograms) {
-            const auto [it, fresh] = merged_histograms_.try_emplace(name, h);
+            const auto [it, fresh] = histograms.try_emplace(name, h);
             if (!fresh) it->second.merge(h);
         }
     }
-    broadcast(ctx, encode_ctrl(CtrlMsgType::shutdown));
-    finished_.store(true);
+    obs::MetricsSnapshot out;
+    out.counters.assign(counters.begin(), counters.end());
+    out.histograms.assign(histograms.begin(), histograms.end());
+    return out;
 }
 
 void Coordinator::fail(Context& ctx, const std::string& why) {

@@ -224,18 +224,15 @@ public:
     harness::FigPoint result_point() const;
     RunResult result() const;
     const stats::Histogram& merged_latency() const { return merged_; }
-    // Cluster-wide metrics, folded from the final REPLICA_DONE snapshots
-    // at finish: counters summed, histograms (the stage/<proto>/<stage>
+    // Cluster-wide metrics, folded on each call from the final REPLICA_DONE
+    // snapshots (one per replica: a re-polled replica's answer replaced its
+    // earlier one): counters summed, histograms (the stage/<proto>/<stage>
     // rows in particular) bucket-merged — percentiles over the merge are
-    // exact, not approximated from per-replica quantiles. Under the
-    // simulator every replica reports the one process-global registry,
-    // so these sums count it once per replica; sim reports omit them.
-    const std::map<std::string, std::uint64_t>& merged_counters() const {
-        return merged_counters_;
-    }
-    const std::map<std::string, stats::Histogram>& merged_histograms() const {
-        return merged_histograms_;
-    }
+    // exact, not approximated from per-replica quantiles. Both lists are
+    // sorted by name; gauges and events are left out. Under the simulator
+    // every replica reports the one process-global registry, so these
+    // sums count it once per replica; sim reports omit them.
+    obs::MetricsSnapshot merged_metrics() const;
 
 private:
     enum class Phase {
@@ -275,8 +272,6 @@ private:
 
     stats::Histogram merged_;
     std::uint64_t samples_streamed_ = 0;
-    std::map<std::string, std::uint64_t> merged_counters_;
-    std::map<std::string, stats::Histogram> merged_histograms_;
 
     std::atomic<bool> finished_{false};
     bool ok_ = false;

@@ -93,9 +93,9 @@ struct BenchSpec {
     Duration consensus_cmd_cost = 0;
     Duration wbcast_multicast_cost = 0;
     Duration wbcast_accept_cost = 0;
-    // Transport shard count the run was launched with (wbamd builds its
-    // NetWorld before the spec arrives, so this is recorded metadata for
-    // the report, not a knob the spec can change remotely; 0 = auto).
+    // Read by nothing: a NetWorld runs one loop. Its only writer is
+    // perfbench/src/workloads.cpp; drop that line, then this field and its
+    // varint on the wire.
     std::uint32_t net_shards = 0;
     // Scale-out KV workload (ignored when workload == bytes): zipfian key
     // popularity over kv_keys keys, theta in permille (990 = YCSB's 0.99;

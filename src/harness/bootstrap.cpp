@@ -56,8 +56,6 @@ std::optional<NodeOptions> parse_node_args(int argc, const char* const* argv,
                                  [&](long long x) { o.run_ms = static_cast<int>(x); })) != 0) {
         } else if ((r = int_flag("--epoch-ns", 0, std::int64_t{1} << 62,
                                  [&](long long x) { o.epoch_ns = x; })) != 0) {
-        } else if ((r = int_flag("--net-shards", 0, 64,
-                                 [&](long long x) { o.net_shards = static_cast<int>(x); })) != 0) {
         } else if ((v = flag_value(argv[i], "--topology"))) {
             o.topology_file = v;
         } else if ((v = flag_value(argv[i], "--metrics-dump"))) {
@@ -128,14 +126,13 @@ std::optional<Bootstrap> resolve_bootstrap(const NodeOptions& o,
 }
 
 net::NetConfig node_net_config(const net::Endpoint& self,
-                               std::int64_t epoch_ns, int net_shards) {
+                               std::int64_t epoch_ns) {
     net::NetConfig cfg;
     if (self.host != "127.0.0.1") cfg.bind_host = "0.0.0.0";
     if (epoch_ns > 0)
         cfg.epoch = std::chrono::steady_clock::time_point(
             std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                 std::chrono::nanoseconds(epoch_ns)));
-    cfg.shards = net_shards;
     return cfg;
 }
 

@@ -23,9 +23,6 @@ struct NodeOptions {
     // Shared steady-clock epoch (nanoseconds since CLOCK_MONOTONIC zero) of
     // a single-machine deployment; 0 = per-process epoch.
     std::int64_t epoch_ns = 0;
-    // Transport event-loop shard count (net::NetConfig::shards):
-    // 0 = auto (hardware concurrency).
-    int net_shards = 0;
     int run_ms = 6000;
     // Durability: directory for this replica's write-ahead log (empty =
     // volatile). A restarted replica replays <wal_dir>/p<pid>.wal and
@@ -74,7 +71,7 @@ std::optional<Bootstrap> resolve_bootstrap(const NodeOptions& o,
 // hostnames) binds the wildcard so the listener is reachable on whatever
 // address peers dial. epoch_ns > 0 pins the shared clock epoch.
 net::NetConfig node_net_config(const net::Endpoint& self,
-                               std::int64_t epoch_ns, int net_shards);
+                               std::int64_t epoch_ns);
 
 }  // namespace wbam::harness
 

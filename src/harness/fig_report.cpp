@@ -42,8 +42,6 @@ std::string FigReport::to_json() const {
     out << "  \"groups\": " << groups << ",\n";
     out << "  \"group_size\": " << group_size << ",\n";
     out << "  \"payload_bytes\": " << payload << ",\n";
-    if (net_shards > 0)
-        out << "  \"net_shards\": " << net_shards << ",\n";
     if (driver_processes > 0) {
         out << "  \"distributed\": {\"driver_processes\": " << driver_processes
             << ", \"samples_streamed\": " << samples_streamed << "},\n";

@@ -51,10 +51,6 @@ struct FigReport {
     int groups = 0;
     int group_size = 0;
     std::uint32_t payload = 20;
-    // Transport shard count the run was launched with (net-distributed
-    // only; 0 = auto or not applicable). Emitted so perf deltas across
-    // reports are attributable to the event-loop configuration.
-    int net_shards = 0;
     // `wbamctl run` only (0/0 in sim reports): how the load was spread
     // across OS processes and how many raw samples were streamed.
     int driver_processes = 0;

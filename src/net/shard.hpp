@@ -1,16 +1,7 @@
-// Sharding primitives of the multi-core TCP runtime: the deterministic
-// connection-affinity map, the MPSC command mailbox, and the eventfd /
-// self-pipe wakeup every loop sleeps on.
-//
-// Affinity contract: shard_for(a, b, n) is total (every pid pair maps to
-// a shard), stable (pure function of the pair), and SYMMETRIC — both
-// directions between two processes land on the same shard. Symmetry is
-// what keeps the reliable-channel state loop-local: the inbound
-// connection carrying channel (remote -> local) and the outbound
-// connection carrying (local -> remote) are owned by one loop thread, so
-// cumulative acks piggyback on the reverse send queue and ack frames
-// prune the retransmit buffer without a cross-shard hop. The receive
-// cursor of a channel likewise stays on one shard across reconnects.
+// Cross-thread entry into a NetWorld's event loop: the MPSC command
+// mailbox and the eventfd / self-pipe wakeup the loop sleeps on. The loop
+// thread owns all of the world's state; only run_on(), drop_connections()
+// and shutdown() are called from other threads; they post or ring here.
 #ifndef WBAM_NET_SHARD_HPP
 #define WBAM_NET_SHARD_HPP
 
@@ -20,43 +11,12 @@
 #endif
 #include <fcntl.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <thread>
 #include <vector>
 
-#include "common/types.hpp"
-
 namespace wbam::net {
-
-// splitmix64 finalizer: full-avalanche mix so consecutive pid pairs
-// spread evenly over small shard counts.
-inline std::uint64_t mix64(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-// The owning shard of the (a, b) connection pair. See the contract above.
-inline int shard_for(ProcessId a, ProcessId b, int shards) {
-    if (shards <= 1) return 0;
-    const std::uint64_t lo = static_cast<std::uint32_t>(std::min(a, b));
-    const std::uint64_t hi = static_cast<std::uint32_t>(std::max(a, b));
-    return static_cast<int>(mix64((lo << 32) | hi) %
-                            static_cast<std::uint64_t>(shards));
-}
-
-// Config knob -> actual loop count. 0 means auto: one loop per hardware
-// thread, clamped to [1, 8] (beyond that the poll loops contend for cores
-// with the protocol work itself). Explicit requests are honored up to 64.
-inline int resolve_shard_count(int requested) {
-    if (requested > 0) return std::min(requested, 64);
-    const unsigned hw = std::thread::hardware_concurrency();
-    return static_cast<int>(std::clamp(hw, 1u, 8u));
-}
 
 // Level-triggered wakeup a poll loop sleeps on: eventfd where available,
 // self-pipe elsewhere. wake() is async-signal-thin (one write syscall)
@@ -129,12 +89,6 @@ public:
         const std::lock_guard<std::mutex> guard(mutex_);
         out.swap(items_);
         count_.store(0);
-    }
-
-    std::vector<T> drain() {
-        std::vector<T> out;
-        drain(out);
-        return out;
     }
 
     bool empty() const { return count_.load() == 0; }

@@ -36,6 +36,9 @@ constexpr Duration dial_backoff_min = milliseconds(10);
 constexpr Duration dial_backoff_max = seconds(1);
 // Shutdown drain bound: how long to keep flushing outbound queues.
 constexpr Duration drain_wait = milliseconds(500);
+// The drain ends early once this long passed with nothing read,
+// delivered or left to flush.
+constexpr Duration drain_quiet = milliseconds(4);
 // Delayed-ack bound: a cumulative ack waits at most this long for a data
 // frame to piggyback on before it is flushed on its own (still inside a
 // coalesced writev, never a dedicated syscall).
@@ -62,7 +65,6 @@ struct NetWorld::Conn {
     int fd = -1;
     bool connecting = false;  // nonblocking connect(2) in progress
     bool saw_hello = false;   // inbound: first frame pending
-    bool handoff = false;     // inbound: the affinity owner is another loop
     // The dialling process's boot nonce from its HELLO (inbound only).
     std::uint64_t peer_incarnation = 0;
     // Receive side, bounded by default_max_frame (net/frame.hpp).
@@ -77,16 +79,12 @@ struct NetWorld::Conn {
     bool ack_pending = false;
     std::uint64_t ack_upto = 0;
     TimePoint ack_due = 0;
-    // Frames drained after the HELLO re-key but before the socket ships
-    // to its owning loop; replayed through on_frame there.
-    std::vector<BufferSlice> handoff_frames;
     // Redial state (outbound only).
     Duration backoff = 0;
     TimePoint retry_at = 0;
-
 };
 
-// --- per-shard event loop ----------------------------------------------------
+// --- the event loop ----------------------------------------------------------
 
 struct NetWorld::Loop {
     struct TimerFlight {
@@ -103,34 +101,21 @@ struct NetWorld::Loop {
         ProcessId to = invalid_process;
         BufferSlice bytes;
     };
-    // Cross-shard command envelope: anything another thread wants this
-    // loop to do travels through the MPSC mailbox as one of these.
-    struct Command {
-        enum class Kind { send, deliver, post, handoff, drop };
-        Kind kind = Kind::send;
-        ProcessId from = invalid_process;  // send: source pid
-        ProcessId pid = invalid_process;   // send: dest / post: target
-        BufferSlice bytes;                 // send: payload
-        std::vector<LocalMail> mail;       // deliver: batched deliveries
-        std::function<void(Context&)> fn;  // post: injected thunk
-        std::unique_ptr<Conn> conn;        // handoff: the socket, whole
-    };
+    // Work another thread hands the loop: a run_on() thunk or a
+    // drop_connections() sweep.
+    using Command = std::function<void()>;
 
-    // The loop the calling thread runs (nullptr off the loop threads):
-    // same-loop submissions skip the mailbox.
+    // The loop the calling thread runs (nullptr off the loop threads).
     inline static thread_local Loop* current = nullptr;
 
     NetWorld* w = nullptr;
-    int index = 0;
-    std::vector<Host*> hosts;  // processes homed on this loop
 
     // Loop-owned state (touched only before start() or on this thread).
     std::vector<std::unique_ptr<Conn>> conns;
     std::map<std::pair<ProcessId, ProcessId>, Conn*> out_by_pair;
     // Receive cursor per (remote, local) channel: next expected DATA seq.
     // Outlives individual connections — that is what makes reconnect
-    // retransmission dedup-able — and stays on this loop because the
-    // affinity map is a pure function of the pair.
+    // retransmission dedup-able.
     std::map<std::pair<ProcessId, ProcessId>, std::uint64_t> recv_next;
     // Last HELLO incarnation seen per channel: a change means the peer
     // process restarted (its channel restarts at seq 1), so the cursor and
@@ -139,14 +124,14 @@ struct NetWorld::Loop {
     std::priority_queue<TimerFlight, std::vector<TimerFlight>, std::greater<>>
         timers;
     std::uint64_t timer_seq = 0;
-    std::deque<LocalMail> inbox;  // deliveries for hosts homed here
+    TimerId next_timer = 1;
+    std::deque<LocalMail> inbox;  // local sends between this world's hosts
     std::vector<LocalMail> rx;    // frames received this poll turn
     bool read_progress = false;   // a socket produced bytes this turn
 
     // Cross-thread: command submission and the wakeup it rings.
     Mailbox<Command> mailbox;
     WakeFd wakefd;
-    std::atomic<bool> idle{false};  // drain-quiescence flag
     std::thread thread;
 
     void post(Command cmd) {
@@ -154,8 +139,7 @@ struct NetWorld::Loop {
     }
 
     void run();
-    void execute(Command& cmd);
-    void install(std::unique_ptr<Conn> conn);
+    void drop_all();
     void note_incarnation(Conn& c);
     Conn* out_conn(ProcessId from, ProcessId to);
     void note_ack(ProcessId local, ProcessId remote, std::uint64_t upto);
@@ -182,7 +166,6 @@ struct NetWorld::Host {
     Rng rng{0};
     int listen_fd = -1;
     std::uint16_t port = 0;
-    Loop* home = nullptr;  // handlers, timers and thunks run here
     std::unordered_set<TimerId> active_timers;
 };
 
@@ -196,13 +179,12 @@ struct NetWorld::HostContext final : Context {
         world->send_from(host->id, to, std::move(bytes));
     }
     TimerId set_timer(Duration delay) override {
-        const TimerId id =
-            world->next_timer_.fetch_add(1, std::memory_order_relaxed);
+        Loop& loop = *world->loop_;
+        const TimerId id = loop.next_timer++;
         host->active_timers.insert(id);
-        Loop* home = host->home;
-        home->timers.push(Loop::TimerFlight{.due = world->now() + delay,
-                                            .seq = home->timer_seq++,
-                                            .pid = host->id, .id = id});
+        loop.timers.push(Loop::TimerFlight{.due = world->now() + delay,
+                                           .seq = loop.timer_seq++,
+                                           .pid = host->id, .id = id});
         return id;
     }
     void cancel_timer(TimerId id) override { host->active_timers.erase(id); }
@@ -212,8 +194,7 @@ struct NetWorld::HostContext final : Context {
 // --- world lifecycle ---------------------------------------------------------
 
 NetWorld::NetWorld(Topology topo, std::uint64_t seed, NetConfig cfg)
-    : topo_(std::move(topo)), cfg_(std::move(cfg)),
-      nshards_(resolve_shard_count(cfg_.shards)), seed_rng_(seed),
+    : topo_(std::move(topo)), cfg_(std::move(cfg)), seed_rng_(seed),
       epoch_(cfg_.epoch == std::chrono::steady_clock::time_point{}
                  ? std::chrono::steady_clock::now()
                  : cfg_.epoch) {
@@ -224,23 +205,14 @@ NetWorld::NetWorld(Topology topo, std::uint64_t seed, NetConfig cfg)
                            .time_since_epoch()
                            .count());
     if (incarnation_ == 0) incarnation_ = 1;
-    for (int i = 0; i < nshards_; ++i) {
-        auto loop = std::make_unique<Loop>();
-        loop->w = this;
-        loop->index = i;
-        loops_.push_back(std::move(loop));
-    }
+    loop_ = std::make_unique<Loop>();
+    loop_->w = this;
 }
 
 NetWorld::~NetWorld() {
     shutdown();
-    for (const auto& l : loops_) {
-        for (const auto& c : l->conns)
-            if (c->fd >= 0) ::close(c->fd);
-        // Handed-off sockets still in transit live in the mailbox.
-        for (auto& cmd : l->mailbox.drain())
-            if (cmd.conn != nullptr && cmd.conn->fd >= 0) ::close(cmd.conn->fd);
-    }
+    for (const auto& c : loop_->conns)
+        if (c->fd >= 0) ::close(c->fd);
     for (const auto& h : hosts_)
         if (h->listen_fd >= 0) ::close(h->listen_fd);
 }
@@ -264,10 +236,6 @@ void NetWorld::add_process(ProcessId id, std::unique_ptr<Process> p,
     host->ctx = std::make_unique<HostContext>();
     host->ctx->world = this;
     host->ctx->host = host.get();
-    // Home loop: round-robin by registration order. The host's handlers
-    // and its listener live there.
-    host->home = loops_[hosts_.size() % loops_.size()].get();
-    host->home->hosts.push_back(host.get());
 
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     WBAM_ASSERT_MSG(fd >= 0, "socket() failed");
@@ -316,10 +284,8 @@ void NetWorld::start() {
     for (const auto& h : hosts_)
         WBAM_ASSERT_MSG(h->proc != nullptr, "unregistered process");
     started_ = true;
-    for (const auto& l : loops_) {
-        Loop* raw = l.get();
-        raw->thread = std::thread([raw] { raw->run(); });
-    }
+    Loop* loop = loop_.get();
+    loop->thread = std::thread([loop] { loop->run(); });
 }
 
 void NetWorld::run_for(Duration d) {
@@ -329,79 +295,39 @@ void NetWorld::run_for(Duration d) {
 void NetWorld::run_on(ProcessId id, std::function<void(Context&)> fn) {
     Host* h = host_of(id);
     if (h == nullptr) return;
-    Loop::Command cmd;
-    cmd.kind = Loop::Command::Kind::post;
-    cmd.pid = id;
-    cmd.fn = std::move(fn);
-    h->home->post(std::move(cmd));
+    loop_->post([h, fn = std::move(fn)] { fn(*h->ctx); });
 }
 
 void NetWorld::drop_connections() {
-    for (const auto& l : loops_) {
-        Loop::Command cmd;
-        cmd.kind = Loop::Command::Kind::drop;
-        l->post(std::move(cmd));
-    }
+    Loop* loop = loop_.get();
+    loop->post([loop] { loop->drop_all(); });
 }
 
-// Cross-shard quiescence: every loop publishes an idle flag each drain
-// turn and bumps the shared activity counter when it did work. Nothing
-// is in flight once every loop is idle AND the counter held still for
-// two consecutive checks — a loop that is about to receive cross-shard
-// mail stops being idle before its producer's work goes unseen.
+// The loop drains and returns by itself once draining_ is set (see
+// Loop::run); shutdown() only rings it and joins.
 void NetWorld::shutdown() {
     if (!started_) return;
     draining_.store(true);
-    for (const auto& l : loops_) l->wakefd.wake();
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::nanoseconds(drain_wait);
-    std::uint64_t last_activity = ~std::uint64_t{0};
-    int quiet = 0;
-    while (quiet < 2 && std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        bool all_idle = true;
-        for (const auto& l : loops_) all_idle &= l->idle.load();
-        const std::uint64_t activity = activity_.load();
-        quiet = all_idle && activity == last_activity ? quiet + 1 : 0;
-        last_activity = activity;
-    }
-    stop_.store(true);
-    for (const auto& l : loops_) l->wakefd.wake();
-    for (const auto& l : loops_)
-        if (l->thread.joinable()) l->thread.join();
+    loop_->wakefd.wake();
+    if (loop_->thread.joinable()) loop_->thread.join();
     started_ = false;
     draining_.store(false);
-    stop_.store(false);
 }
 
 // --- sending -----------------------------------------------------------------
 
+// Context::send runs only on the loop thread (handlers, timers, run_on
+// thunks), so a send lands straight in the inbox or the connection's
+// queue.
 void NetWorld::send_from(ProcessId from, ProcessId to, BufferSlice bytes) {
+    WBAM_ASSERT_MSG(Loop::current == loop_.get(),
+                    "Context::send off the world's loop thread (use run_on)");
     if (is_local(to)) {
-        Loop* home = by_pid_.find(to)->second->home;
-        if (Loop::current == home) {
-            home->inbox.push_back(Loop::LocalMail{from, to, std::move(bytes)});
-        } else {
-            Loop::Command cmd;
-            cmd.kind = Loop::Command::Kind::deliver;
-            cmd.mail.push_back(Loop::LocalMail{from, to, std::move(bytes)});
-            home->post(std::move(cmd));
-        }
+        loop_->inbox.push_back(Loop::LocalMail{from, to, std::move(bytes)});
         return;
     }
     if (!cluster_.contains(to)) return;  // unaddressable: dropped
-    Loop* owner =
-        loops_[static_cast<std::size_t>(shard_for(from, to, nshards_))].get();
-    if (Loop::current == owner) {
-        owner->out_conn(from, to)->q.push_data(std::move(bytes));
-        return;
-    }
-    Loop::Command cmd;
-    cmd.kind = Loop::Command::Kind::send;
-    cmd.from = from;
-    cmd.pid = to;
-    cmd.bytes = std::move(bytes);
-    owner->post(std::move(cmd));
+    loop_->out_conn(from, to)->q.push_data(std::move(bytes));
 }
 
 NetWorld::Conn* NetWorld::Loop::out_conn(ProcessId from, ProcessId to) {
@@ -556,35 +482,6 @@ void NetWorld::Loop::accept_ready(Host& h) {
     }
 }
 
-// An inbound socket whose HELLO named a pair owned by another loop lands
-// here: installed whole, superseding any older connection of the same
-// pair, with the frames drained alongside the HELLO replayed in order.
-void NetWorld::Loop::install(std::unique_ptr<Conn> conn) {
-    conn->handoff = false;
-    for (const auto& other : conns) {
-        if (other->outbound) continue;
-        if (other->fd >= 0 && other->saw_hello &&
-            other->remote == conn->remote && other->local == conn->local)
-            close_conn(*other);
-    }
-    std::vector<BufferSlice> replay;
-    replay.swap(conn->handoff_frames);
-    Conn* raw = conn.get();
-    conns.push_back(std::move(conn));
-    // The HELLO was consumed on the accepting loop; apply its incarnation
-    // here, where the channel's cursor lives.
-    note_incarnation(*raw);
-    for (const BufferSlice& payload : replay) {
-        if (raw->fd < 0) break;
-        if (!on_frame(*raw, payload)) {
-            log::info("net: dropping malformed connection (local p",
-                      raw->local, ")");
-            close_conn(*raw);
-            break;
-        }
-    }
-}
-
 // A peer's HELLO announced its boot incarnation for this channel. A
 // restarted process begins its data channel at seq 1 again, and the
 // frames the OLD incarnation had acked are pruned on its side forever —
@@ -642,14 +539,6 @@ bool NetWorld::Loop::on_frame(Conn& c, const BufferSlice& payload) {
             c.remote = hello->from;
             c.saw_hello = true;
             c.peer_incarnation = hello->incarnation;
-            // The socket was accepted on the listener's home loop, but
-            // the pair's affinity may name another: flag it for handoff —
-            // the fd pass ships it whole, frames drained after this one
-            // included. The channel state never splits across loops.
-            if (shard_for(c.local, c.remote, w->nshards_) != index) {
-                c.handoff = true;
-                return true;
-            }
             for (const auto& other : conns) {
                 if (other.get() == &c || other->outbound) continue;
                 if (other->fd >= 0 && other->saw_hello &&
@@ -692,8 +581,7 @@ bool NetWorld::Loop::on_frame(Conn& c, const BufferSlice& payload) {
                 codec::Reader r(body);
                 const std::uint64_t upto = r.varint();
                 r.expect_done();
-                // Acks refer to OUR data channel towards the peer — owned
-                // by this loop too (the affinity map is symmetric).
+                // Acks refer to OUR data channel towards the peer.
                 const auto it =
                     out_by_pair.find(std::make_pair(c.local, c.remote));
                 if (it == out_by_pair.end()) return true;
@@ -718,12 +606,6 @@ bool NetWorld::Loop::read_conn(Conn& c) {
         const bool ok = c.in.drain([&](const BufferSlice& payload) {
             if (malformed) return;
             ++frames;
-            if (c.handoff) {
-                // Already re-keyed to another loop's pair: everything after
-                // the HELLO rides along with the socket.
-                c.handoff_frames.push_back(payload);
-                return;
-            }
             if (!on_frame(c, payload)) malformed = true;
         });
         transport_stats::note_frames_received(frames);
@@ -747,58 +629,18 @@ void NetWorld::deliver(Host& h, ProcessId from, const BufferSlice& frame) {
     }
 }
 
-// Everything read this poll turn lands in one batched handler pass:
-// frames for processes homed on this loop deliver immediately, frames
-// for the others ship as ONE deliver command (one wakeup) per target
-// loop.
+// Everything read this poll turn lands in one batched handler pass.
 void NetWorld::Loop::route_rx() {
-    if (rx.empty()) return;
-    std::vector<std::vector<LocalMail>> cross;
-    for (LocalMail& m : rx) {
-        Host* h = w->host_of(m.to);
-        if (h == nullptr) continue;
-        if (h->home == this) {
-            w->deliver(*h, m.from, m.bytes);
-            continue;
-        }
-        if (cross.empty()) cross.resize(w->loops_.size());
-        cross[static_cast<std::size_t>(h->home->index)].push_back(
-            std::move(m));
-    }
+    for (const LocalMail& m : rx)
+        if (Host* h = w->host_of(m.to)) w->deliver(*h, m.from, m.bytes);
     rx.clear();
-    for (std::size_t i = 0; i < cross.size(); ++i) {
-        if (cross[i].empty()) continue;
-        Command cmd;
-        cmd.kind = Command::Kind::deliver;
-        cmd.mail = std::move(cross[i]);
-        w->loops_[i]->post(std::move(cmd));
-    }
 }
 
 // --- the loop ----------------------------------------------------------------
 
-void NetWorld::Loop::execute(Command& cmd) {
-    switch (cmd.kind) {
-        case Command::Kind::send:
-            if (!w->cluster_.contains(cmd.pid)) return;
-            out_conn(cmd.from, cmd.pid)->q.push_data(std::move(cmd.bytes));
-            return;
-        case Command::Kind::deliver:
-            for (LocalMail& m : cmd.mail) inbox.push_back(std::move(m));
-            return;
-        case Command::Kind::post:
-            if (Host* h = w->host_of(cmd.pid);
-                h != nullptr && h->home == this)
-                cmd.fn(*h->ctx);
-            return;
-        case Command::Kind::handoff:
-            install(std::move(cmd.conn));
-            return;
-        case Command::Kind::drop:
-            for (const auto& c : conns)
-                if (c->fd >= 0) c->outbound ? conn_dead(*c) : close_conn(*c);
-            return;
-    }
+void NetWorld::Loop::drop_all() {
+    for (const auto& c : conns)
+        if (c->fd >= 0) c->outbound ? conn_dead(*c) : close_conn(*c);
 }
 
 void NetWorld::Loop::fire_due_timers() {
@@ -825,19 +667,23 @@ TimePoint NetWorld::Loop::next_deadline() const {
 
 void NetWorld::Loop::run() {
     current = this;
-    for (Host* h : hosts) h->proc->on_start(*h->ctx);
+    for (const auto& h : w->hosts_) h->proc->on_start(*h->ctx);
 
     std::vector<pollfd> pfds;
     std::vector<Conn*> pfd_conn;  // parallel to pfds; nullptr = not a conn
     std::vector<Command> cmds;    // reused: swapped with the mailbox
+    // Drain bookkeeping (shutdown): the bound, and the start of the
+    // current stretch of turns that moved nothing.
+    TimePoint drain_until = time_never;
+    TimePoint quiet_since = time_never;
 
     for (;;) {
         bool busy = false;
 
         mailbox.drain(cmds);
         busy |= !cmds.empty();
-        for (Command& cmd : cmds) execute(cmd);
-        cmds.clear();  // release payloads and thunks before sleeping
+        for (Command& cmd : cmds) cmd();
+        cmds.clear();  // release thunks before sleeping
 
         if (!inbox.empty()) {
             busy = true;
@@ -873,10 +719,17 @@ void NetWorld::Loop::run() {
         busy |= read_progress;
         read_progress = false;
 
-        if (w->stop_.load()) return;
         if (draining) {
-            if (busy) w->activity_.fetch_add(1, std::memory_order_relaxed);
-            idle.store(!busy);
+            // Drained once a stretch of drain_quiet moved nothing (each
+            // turn polls, so in-flight frames land inside the stretch),
+            // or at the drain bound.
+            const TimePoint at = w->now();
+            if (drain_until == time_never) {
+                drain_until = at + drain_wait;
+                quiet_since = at;
+            }
+            if (busy) quiet_since = at;
+            if (at - quiet_since >= drain_quiet || at >= drain_until) return;
         }
 
         pfds.clear();
@@ -887,7 +740,7 @@ void NetWorld::Loop::run() {
         if (!draining) {
             // No NEW connections while draining; established ones still
             // read (in-flight frames must land) and flush.
-            for (const Host* h : hosts) {
+            for (const auto& h : w->hosts_) {
                 pfds.push_back(pollfd{h->listen_fd, POLLIN, 0});
                 pfd_conn.push_back(nullptr);
             }
@@ -911,7 +764,7 @@ void NetWorld::Loop::run() {
                              : static_cast<int>(std::min<TimePoint>(
                                    (next - at) / 1'000'000 + 1, 100));
         }
-        if (draining) timeout_ms = std::min(timeout_ms, 5);
+        if (draining) timeout_ms = std::min(timeout_ms, 2);
 
         const int ready = ::poll(pfds.data(),
                                  static_cast<nfds_t>(pfds.size()), timeout_ms);
@@ -920,9 +773,9 @@ void NetWorld::Loop::run() {
         if (ready > 0) {
             if (pfds[0].revents & POLLIN) wakefd.clear();
             if (!draining) {
-                for (std::size_t i = 0; i < hosts.size(); ++i)
+                for (std::size_t i = 0; i < w->hosts_.size(); ++i)
                     if (pfds[listeners_at + i].revents & POLLIN)
-                        accept_ready(*hosts[i]);
+                        accept_ready(*w->hosts_[i]);
             }
             for (std::size_t i = 0; i < pfds.size(); ++i) {
                 Conn* c = pfd_conn[i];
@@ -944,7 +797,6 @@ void NetWorld::Loop::run() {
                 }
                 if (pfds[i].revents & POLLIN) {
                     if (!read_conn(*c)) continue;
-                    if (c->handoff) continue;  // shipped after the pass
                 } else if (pfds[i].revents & (POLLERR | POLLHUP)) {
                     // No readable data: the connection is gone.
                     c->outbound ? conn_dead(*c) : close_conn(*c);
@@ -957,30 +809,11 @@ void NetWorld::Loop::run() {
         // One batched handler pass over everything read this turn.
         route_rx();
 
-        // Ship handed-off sockets to their affinity owners, then reap
-        // dead inbound connections (outbound ones persist: they own the
-        // redial schedule and the queued frames).
-        for (auto& slot : conns) {
-            if (slot == nullptr || !slot->handoff) continue;
-            if (slot->fd < 0) {
-                slot->handoff = false;
-                continue;
-            }
-            Loop* owner = w->loops_[static_cast<std::size_t>(shard_for(
-                                        slot->local, slot->remote,
-                                        w->nshards_))]
-                              .get();
-            Command cmd;
-            cmd.kind = Command::Kind::handoff;
-            cmd.conn = std::move(slot);
-            owner->post(std::move(cmd));
-        }
-        conns.erase(std::remove_if(conns.begin(), conns.end(),
-                                   [](const std::unique_ptr<Conn>& c) {
-                                       return c == nullptr ||
-                                              (!c->outbound && c->fd < 0);
-                                   }),
-                    conns.end());
+        // Reap dead inbound connections (outbound ones persist: they own
+        // the redial schedule and the queued frames).
+        std::erase_if(conns, [](const std::unique_ptr<Conn>& c) {
+            return !c->outbound && c->fd < 0;
+        });
     }
 }
 

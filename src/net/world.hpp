@@ -1,4 +1,4 @@
-// The TCP runtime: a sharded poll(2) event-loop world whose NetContext
+// The TCP runtime: a poll(2) event-loop world whose NetContext
 // implements the same Process/Context contract as the discrete-event
 // simulator, but whose channels are real sockets. One NetWorld hosts one
 // or more local processes (one per OS process in a deployed cluster — see
@@ -7,20 +7,15 @@
 // (net/frame.hpp) carrying the exact envelope bytes the simulator
 // carries.
 //
-// Sharding (NetConfig::shards, default = hardware concurrency): the
-// world runs N event-loop worker threads. Ownership replaces locking —
-// every connection's state (socket, send queue, reassembler, channel
-// cursors) is owned by exactly one loop thread, chosen by the
-// deterministic pair affinity shard_for(a, b, N) (net/shard.hpp), which
-// is symmetric so a channel and its reverse (data one way, acks back)
-// always share a loop. Each local process is homed on one loop
-// (round-robin): its handlers, timers and run_on() thunks all execute
-// there, preserving the "single-threaded per process" contract. Work
-// crossing shards — a send whose connection another loop owns, a
-// delivery for a process homed elsewhere, an accepted socket whose
-// HELLO names a pair with different affinity — travels through MPSC
-// command mailboxes woken by eventfd/self-pipe; sockets are handed off
-// whole to the owning loop.
+// One loop per world: start() spawns ONE thread running ONE poll loop
+// for every local process. That thread owns every connection (socket,
+// send queue, reassembler, channel cursors), every timer and every
+// handler call, so the "single-threaded per process" contract holds
+// without locks. Context calls (send, set_timer) are legal only there —
+// in handlers, timers and run_on() thunks; a send from any other thread
+// is a bug and aborts. Other threads reach the loop only through
+// run_on(), drop_connections() and shutdown(), which post to its mailbox
+// and ring its wakeup fd (net/shard.hpp).
 //
 // Zero-copy at the socket boundary: Context::send queues the RETAINED
 // BufferSlice behind an inline stack-built header and the coalescing
@@ -52,12 +47,12 @@
 //
 // Graceful-shutdown contract: shutdown() first DRAINS — frames already
 // received and local sends already queued are delivered, and outbound
-// queues are flushed to the kernel (for at most 500 ms) — then joins
-// every loop thread. Quiescence is detected across shards: a
-// coordinator watches per-loop idle flags plus a global activity counter
-// until nothing moved for two consecutive checks. Pending timers do not
-// fire; messages sent while draining are flushed best-effort. Tests
-// therefore never race teardown against in-flight deliveries.
+// queues are flushed to the kernel (for at most 500 ms) — then joins the
+// loop thread. The loop itself decides when it is drained: once its
+// turns have found nothing to read, deliver or flush for a few
+// milliseconds. Pending timers do not fire; messages sent while draining
+// are flushed best-effort. Tests therefore never race teardown against
+// in-flight deliveries.
 #ifndef WBAM_NET_WORLD_HPP
 #define WBAM_NET_WORLD_HPP
 
@@ -85,8 +80,8 @@ struct NetConfig {
     // across worlds are coherent; the default (time_point{}) means "this
     // world's construction time".
     std::chrono::steady_clock::time_point epoch{};
-    // Event-loop shard count: 0 = auto (hardware concurrency, clamped to
-    // [1, 8]); explicit values honored up to 64. See net/shard.hpp.
+    // Read by nothing: a world runs one loop. Its only writer is
+    // perfbench/src/workloads.cpp; drop that line, then this field.
     int shards = 0;
 };
 
@@ -111,25 +106,22 @@ public:
     // whenever any remote process will be addressed.
     void set_cluster(ClusterMap map);
 
-    // Spawns the loop threads; on_start runs on each process's home loop,
-    // before any delivery.
+    // Spawns the loop thread; every process's on_start runs there, before
+    // any delivery.
     void start();
     // Sleeps the caller for wall-clock `d` (the loops run meanwhile).
     void run_for(Duration d);
-    // Runs fn(ctx) on the home loop of local process `id`, in its context
+    // Runs fn(ctx) on the loop thread, in local process `id`'s context
     // (external injection: test drivers, example workloads).
     void run_on(ProcessId id, std::function<void(Context&)> fn);
-    // Drains (see the contract above), then joins every loop thread.
+    // Drains (see the contract above), then joins the loop thread.
     void shutdown();
 
     // Nanoseconds since the configured epoch; same base as every
     // NetContext::now() of this world.
     TimePoint now() const;
 
-    // Resolved event-loop count of this world.
-    int shard_count() const { return nshards_; }
-
-    // Test hook: closes every live connection (on the owning loops). The
+    // Test hook: closes every live connection (on the loop thread). The
     // next sends re-dial; exercises the reconnect path.
     void drop_connections();
 
@@ -145,7 +137,6 @@ private:
 
     Topology topo_;
     NetConfig cfg_;
-    int nshards_ = 1;
     // Boot nonce carried in every HELLO: non-deterministic on purpose (the
     // seed repeats across restarts of the same pid, and peers use an
     // incarnation CHANGE to reset their receive cursors — see frame.hpp).
@@ -156,15 +147,10 @@ private:
 
     std::vector<std::unique_ptr<Host>> hosts_;  // local processes only
     std::map<ProcessId, Host*> by_pid_;
-    std::vector<std::unique_ptr<Loop>> loops_;  // one per shard
+    std::unique_ptr<Loop> loop_;
 
-    std::atomic<TimerId> next_timer_{1};
-    // Lifecycle: draining_ starts the drain, stop_ ends the loops, and
-    // activity_ + per-loop idle flags let shutdown() detect cross-shard
-    // quiescence.
+    // Set by shutdown(): the loop drains, then returns.
     std::atomic<bool> draining_{false};
-    std::atomic<bool> stop_{false};
-    std::atomic<std::uint64_t> activity_{0};
     bool started_ = false;
 };
 

@@ -429,27 +429,6 @@ void WbcastReplica::handle_newleader(Context& ctx, ProcessId from,
                                        snapshot_entries()}));
 }
 
-void WbcastReplica::install_entry(const EntryState& es) {
-    Entry& e = entries_[es.msg.id];
-    e.msg = es.msg;
-    e.phase = static_cast<Phase>(es.phase);
-    e.lts = es.lts;
-    e.gts = es.gts;
-    e.compacted = es.compacted;
-    if (e.phase == Phase::accepted) {
-        const bool fresh = pending_by_lts_.emplace(e.lts, es.msg.id).second;
-        WBAM_ASSERT_MSG(fresh, "recovered local timestamps must be unique");
-    } else if (e.phase == Phase::committed) {
-        if (e.compacted) {
-            // Already delivered by every group member; nothing to re-send.
-            e.deliver_sent = true;
-        } else {
-            const bool unique = committed_by_gts_.emplace(e.gts, es.msg.id).second;
-            WBAM_ASSERT_MSG(unique, "recovered global timestamps must be unique");
-        }
-    }
-}
-
 void WbcastReplica::handle_newleader_ack(Context& ctx, ProcessId from,
                                          const NewLeaderAckMsg& m) {
     if (!recovery_ || recovery_->b != m.ballot || recovery_->state_sent) return;
@@ -473,7 +452,7 @@ void WbcastReplica::handle_newleader_ack(Context& ctx, ProcessId from,
             if (static_cast<Phase>(es.phase) != Phase::committed) continue;
             const auto it = entries_.find(es.msg.id);
             if (it == entries_.end()) {
-                install_entry(es);
+                restore_entry(es);
                 continue;
             }
             // Invariant 3: all copies agree on the timestamps.
@@ -500,7 +479,7 @@ void WbcastReplica::handle_newleader_ack(Context& ctx, ProcessId from,
             if (static_cast<Phase>(es.phase) != Phase::accepted) continue;
             const auto it = entries_.find(es.msg.id);
             if (it == entries_.end()) {
-                install_entry(es);
+                restore_entry(es);
             } else if (it->second.phase == Phase::accepted) {
                 WBAM_ASSERT_MSG(it->second.lts == es.lts,
                                 "accepted copies in max cballot disagree");
@@ -548,7 +527,7 @@ void WbcastReplica::handle_new_state(Context& ctx, ProcessId from,
     entries_.clear();
     pending_by_lts_.clear();
     committed_by_gts_.clear();
-    for (const EntryState& es : m.entries) install_entry(es);
+    for (const EntryState& es : m.entries) restore_entry(es);
     rebuild_gc_queue();
     recovery_.reset();
     // Same checkpoint as the new leader's: the table was rebuilt wholesale.
@@ -766,10 +745,12 @@ void WbcastReplica::log_status(bool reset) {
                      encode_wb_status(cballot_, ballot_, clock_, reset));
 }
 
+// The one entry installer: WAL replay, the NEWLEADER_ACK recompute and
+// NEW_STATE. The recovery callers install fresh ids only; on replay a
+// later record supersedes an earlier one for the same message
+// (proposed -> accepted -> committed -> compacted stub).
 void WbcastReplica::restore_entry(const EntryState& es) {
     Entry& e = entries_[es.msg.id];
-    // A later record supersedes an earlier one for the same message
-    // (proposed -> accepted -> committed -> compacted stub).
     drop_pending(e);
     if (e.phase == Phase::committed && !e.compacted)
         committed_by_gts_.erase(e.gts);

@@ -102,7 +102,6 @@ private:
     void handle_newstate_ack(Context& ctx, ProcessId from,
                              const NewStateAckMsg& m);
     std::vector<EntryState> snapshot_entries() const;
-    void install_entry(const EntryState& es);
 
     // -- message recovery & garbage collection
     void retry_stuck(Context& ctx);
@@ -115,6 +114,7 @@ private:
     void log_entry(const Entry& e);
     void log_status(bool reset);
     void replay_wal(Context& ctx);
+    // Installs one entry; the recovery handlers call it too.
     void restore_entry(const EntryState& es);
     void send_sync_req(Context& ctx);
     void handle_sync_req(Context& ctx, ProcessId from, const SyncReqMsg& m);

@@ -49,15 +49,14 @@ private:
 
 TEST(BootstrapArgsTest, FullFlagSetParses) {
     const auto o = parse({"--pid=7", "--topology=/tmp/t.topo",
-                          "--epoch-ns=123456789", "--net-shards=4",
-                          "--run-ms=1234", "--wal-dir=/tmp/wal", "--wal-sync=always",
+                          "--epoch-ns=123456789", "--run-ms=1234",
+                          "--wal-dir=/tmp/wal", "--wal-sync=always",
                           "--metrics-dump=/tmp/m.jsonl",
                           "--metrics-interval-ms=250", "-v"});
     ASSERT_TRUE(o.has_value());
     EXPECT_EQ(o->pid, 7);
     EXPECT_EQ(o->topology_file, "/tmp/t.topo");
     EXPECT_EQ(o->epoch_ns, 123456789);
-    EXPECT_EQ(o->net_shards, 4);
     EXPECT_EQ(o->run_ms, 1234);
     EXPECT_EQ(o->wal_dir, "/tmp/wal");
     EXPECT_EQ(o->wal_sync, "always");
@@ -78,7 +77,6 @@ TEST(BootstrapArgsTest, MalformedArgsRejected) {
         {"negative pid", {"--pid=-3", "--topology=t"}},
         {"bad run-ms", {"--pid=0", "--topology=t", "--run-ms=0"}},
         {"trailing junk", {"--pid=0x7", "--topology=t"}},
-        {"shards too many", {"--pid=0", "--topology=t", "--net-shards=65"}},
         {"unknown wal-sync", {"--pid=0", "--topology=t", "--wal-sync=maybe"}},
     };
     for (const auto& c : cases) {
@@ -89,14 +87,14 @@ TEST(BootstrapArgsTest, MalformedArgsRejected) {
     }
 }
 
-// The self-driving mode's flags and the per-replica sequence file are
-// gone: a launcher still passing one must fail at argv parsing, not run a
-// silently different experiment.
+// The self-driving mode's flags, the per-replica sequence file and the
+// event-loop shard count are gone: a launcher still passing one must fail
+// at argv parsing, not run a silently different experiment.
 TEST(BootstrapArgsTest, RemovedFlagsAreUnknownArguments) {
     for (const char* removed :
          {"--bench", "--proto=wbcast", "--msgs=25", "--payload=32",
           "--groups=2", "--group-size=3", "--clients=1", "--base-port=9000",
-          "--peers=a:1,b:2", "--out=/tmp/x.txt"}) {
+          "--peers=a:1,b:2", "--out=/tmp/x.txt", "--net-shards=4"}) {
         std::string error;
         EXPECT_FALSE(
             parse({"--pid=0", "--topology=t", removed}, &error).has_value())
@@ -164,21 +162,19 @@ TEST(BootstrapResolveTest, BenchTopologyNeedsADriverBesidesTheCoordinator) {
     EXPECT_NE(error.find(">= 2 client pids"), std::string::npos) << error;
 }
 
-TEST(NodeNetConfigTest, BindEpochAndShards) {
+TEST(NodeNetConfigTest, BindAndEpoch) {
     const net::NetConfig loopback =
-        harness::node_net_config({"127.0.0.1", 7000}, 0, 0);
+        harness::node_net_config({"127.0.0.1", 7000}, 0);
     EXPECT_EQ(loopback.bind_host, "127.0.0.1");
     EXPECT_EQ(loopback.epoch, std::chrono::steady_clock::time_point{});
-    EXPECT_EQ(loopback.shards, 0);
 
     const net::NetConfig mesh =
-        harness::node_net_config({"10.231.1.1", 7000}, 5'000'000'000, 4);
+        harness::node_net_config({"10.231.1.1", 7000}, 5'000'000'000);
     EXPECT_EQ(mesh.bind_host, "0.0.0.0");
     EXPECT_EQ(std::chrono::duration_cast<std::chrono::nanoseconds>(
                   mesh.epoch.time_since_epoch())
                   .count(),
               5'000'000'000);
-    EXPECT_EQ(mesh.shards, 4);
 }
 
 }  // namespace

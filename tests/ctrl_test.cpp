@@ -8,6 +8,7 @@
 // two runs of one seed that must agree).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -540,12 +541,13 @@ TEST(CtrlPlaneSimKvTest, AppStateHashValidates) {
 
 // Plays a replica or a driver towards the coordinator: READY at start,
 // SPEC_OK for RUN_SPEC, DRIVER_DONE at START (a driver), and the scripted
-// REPLICA_DONE for every REPORT (a replica).
+// REPLICA_DONEs for the REPORTs, in order, the last one repeating (a
+// replica).
 class ScriptedNode final : public Process {
 public:
     ScriptedNode(ProcessId coordinator, ctrl::NodeRole role,
-                 ctrl::ReplicaDoneMsg done = {})
-        : coordinator_(coordinator), role_(role), done_(std::move(done)) {}
+                 std::vector<ctrl::ReplicaDoneMsg> dones = {{}})
+        : coordinator_(coordinator), role_(role), dones_(std::move(dones)) {}
 
     void on_start(Context& ctx) override {
         ctx.send(coordinator_, ctrl::encode_ctrl(CtrlMsgType::ready,
@@ -564,9 +566,12 @@ public:
                                                ctrl::DriverDoneMsg{}));
                 return;
             case CtrlMsgType::report:
-                if (role_ == ctrl::NodeRole::replica)
+                if (role_ == ctrl::NodeRole::replica) {
                     ctx.send(coordinator_,
-                             ctrl::encode_ctrl(CtrlMsgType::replica_done, done_));
+                             ctrl::encode_ctrl(CtrlMsgType::replica_done,
+                                               dones_[reports_]));
+                    reports_ = std::min(reports_ + 1, dones_.size() - 1);
+                }
                 return;
             default:
                 return;
@@ -577,14 +582,28 @@ public:
 private:
     ProcessId coordinator_;
     ctrl::NodeRole role_;
-    ctrl::ReplicaDoneMsg done_;
+    std::vector<ctrl::ReplicaDoneMsg> dones_;
+    std::size_t reports_ = 0;
 };
 
-// A coordinator on 2 groups x 3 replicas, every replica answering with
-// dones[pid], run until it finishes.
+std::vector<std::vector<ctrl::ReplicaDoneMsg>> one_answer_each(
+    const std::vector<ctrl::ReplicaDoneMsg>& dones) {
+    std::vector<std::vector<ctrl::ReplicaDoneMsg>> out;
+    for (const ctrl::ReplicaDoneMsg& d : dones) out.push_back({d});
+    return out;
+}
+
+// A coordinator on `topo` (2 groups x 3 replicas unless given), replica
+// pid answering its k-th REPORT with answers[pid][k] (the last repeats),
+// run until it finishes.
 struct ScriptedRun {
     ScriptedRun(BenchSpec spec, const std::vector<ctrl::ReplicaDoneMsg>& dones)
-        : world(topo, std::make_unique<sim::UniformDelay>(milliseconds(1)), 5) {
+        : ScriptedRun(spec, one_answer_each(dones), Topology(2, 3, 2)) {}
+    ScriptedRun(BenchSpec spec,
+                const std::vector<std::vector<ctrl::ReplicaDoneMsg>>& answers,
+                Topology t)
+        : topo(t),
+          world(topo, std::make_unique<sim::UniformDelay>(milliseconds(1)), 5) {
         ctrl::CoordinatorConfig ccfg;
         ccfg.spec = spec;
         ccfg.quiesce = milliseconds(20);
@@ -598,7 +617,7 @@ struct ScriptedRun {
         for (ProcessId p = 0; p < topo.num_replicas(); ++p)
             world.add_process(p, std::make_unique<ScriptedNode>(
                                      coord_pid, ctrl::NodeRole::replica,
-                                     dones.at(static_cast<std::size_t>(p))));
+                                     answers.at(static_cast<std::size_t>(p))));
         world.add_process(topo.client(0),
                           std::make_unique<ScriptedNode>(
                               coord_pid, ctrl::NodeRole::driver));
@@ -606,7 +625,7 @@ struct ScriptedRun {
         while (!coordinator->finished()) world.run_for(milliseconds(10));
     }
 
-    const Topology topo{2, 3, 2};
+    const Topology topo;
     sim::World world;
     const ctrl::Coordinator* coordinator = nullptr;
 };
@@ -661,6 +680,51 @@ TEST(CoordinatorCheckTest, GroupThatDeliveredNothingFailsTheRun) {
     EXPECT_NE(one_empty.coordinator->error().find("group 1 delivered nothing"),
               std::string::npos)
         << one_empty.coordinator->error();
+}
+
+ctrl::ReplicaDoneMsg with_metrics(
+    ctrl::ReplicaDoneMsg d,
+    std::vector<std::pair<std::string, std::uint64_t>> counters,
+    std::vector<std::pair<std::string, int>> histogram_counts) {
+    d.metrics.counters = std::move(counters);
+    for (const auto& [name, n] : histogram_counts) {
+        stats::Histogram h;
+        for (int i = 0; i < n; ++i) h.record(microseconds(10 + i));
+        d.metrics.histograms.emplace_back(name, h);
+    }
+    return d;
+}
+
+// Three replicas of one group report metrics; p2's first answer disagrees
+// on the digest, so the coordinator re-polls every replica, and p2 then
+// answers with a larger snapshot. The merge sums each replica's final
+// snapshot exactly once: p2's discarded first answer counts for nothing.
+TEST(CoordinatorMetricsTest, MergeFoldsEachReplicasFinalSnapshotOnce) {
+    const ctrl::ReplicaDoneMsg agreed = done_of({make_msg_id(6, 1)});
+    const ctrl::ReplicaDoneMsg stray = done_of({make_msg_id(6, 2)});
+    const std::vector<std::vector<ctrl::ReplicaDoneMsg>> answers{
+        {with_metrics(agreed, {{"ops", 1}}, {{"stage", 1}})},
+        {with_metrics(agreed, {{"ops", 2}}, {{"stage", 2}})},
+        {with_metrics(stray, {{"ops", 100}}, {{"stage", 100}}),
+         with_metrics(agreed, {{"extra", 7}, {"ops", 4}},
+                      {{"late", 3}, {"stage", 5}})},
+    };
+    BenchSpec spec;
+    spec.dest_groups = 1;
+    const ScriptedRun run(spec, answers, Topology(1, 3, 2));
+    ASSERT_TRUE(run.coordinator->succeeded()) << run.coordinator->error();
+
+    const obs::MetricsSnapshot merged = run.coordinator->merged_metrics();
+    const std::vector<std::pair<std::string, std::uint64_t>> counters{
+        {"extra", 7}, {"ops", 7}};
+    EXPECT_EQ(merged.counters, counters);
+    ASSERT_EQ(merged.histograms.size(), 2u);
+    EXPECT_EQ(merged.histograms[0].first, "late");
+    EXPECT_EQ(merged.histograms[0].second.count(), 3u);
+    EXPECT_EQ(merged.histograms[1].first, "stage");
+    EXPECT_EQ(merged.histograms[1].second.count(), 8u);
+    // The fold reads state; a second call gives the same merge.
+    EXPECT_EQ(run.coordinator->merged_metrics().counters, counters);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -45,11 +45,8 @@ LiveClusterConfig net_config(ProtocolKind kind, std::uint64_t seed) {
     return cfg;
 }
 
-void run_protocol_over_loopback(ProtocolKind kind, std::uint64_t seed,
-                                int shards = 0) {
-    LiveClusterConfig cfg = net_config(kind, seed);
-    cfg.net.shards = shards;
-    LiveCluster c(cfg);
+void run_protocol_over_loopback(ProtocolKind kind, std::uint64_t seed) {
+    LiveCluster c(net_config(kind, seed));
     constexpr int n = 12;
     for (int i = 0; i < n; ++i) {
         // Mixed destination sets exercise both the single-group path and
@@ -83,25 +80,6 @@ TEST(NetIntegrationTest, FtskeenDeliversOverLoopbackTcp) {
 
 TEST(NetIntegrationTest, FastcastDeliversOverLoopbackTcp) {
     run_protocol_over_loopback(ProtocolKind::fastcast, 19);
-}
-
-// The same matrix with the transport sharded onto four event loops per
-// NetWorld: connection affinity, cross-shard mailboxes, and the socket
-// handoff path all engage, and the checker result must be unchanged.
-TEST(NetIntegrationTest, WbcastDeliversAcrossFourShards) {
-    run_protocol_over_loopback(ProtocolKind::wbcast, 31, /*shards=*/4);
-}
-
-TEST(NetIntegrationTest, SkeenDeliversAcrossFourShards) {
-    run_protocol_over_loopback(ProtocolKind::skeen, 37, /*shards=*/4);
-}
-
-TEST(NetIntegrationTest, FtskeenDeliversAcrossFourShards) {
-    run_protocol_over_loopback(ProtocolKind::ftskeen, 43, /*shards=*/4);
-}
-
-TEST(NetIntegrationTest, FastcastDeliversAcrossFourShards) {
-    run_protocol_over_loopback(ProtocolKind::fastcast, 47, /*shards=*/4);
 }
 
 // Connection lifecycle: sever every established TCP connection mid-run;
@@ -168,21 +146,18 @@ private:
     TimerId tick = invalid_timer;
 };
 
-void run_paxos_over_loopback(std::uint64_t seed, int shards) {
+void run_paxos_over_loopback(std::uint64_t seed) {
     constexpr int n = 3;
     const Topology topo(1, n, 0);
     std::vector<ProcessId> members{0, 1, 2};
     std::vector<NetPaxosHost*> hosts;
-    net::NetConfig base;
-    base.shards = shards;
     const auto worlds = harness::make_loopback_worlds(
         topo, seed,
         [&](ProcessId) -> std::unique_ptr<Process> {
             auto host = std::make_unique<NetPaxosHost>(members, n / 2 + 1);
             hosts.push_back(host.get());
             return host;
-        },
-        base);
+        });
     for (const auto& w : worlds) w->start();
 
     constexpr int cmds = 25;
@@ -211,11 +186,7 @@ void run_paxos_over_loopback(std::uint64_t seed, int shards) {
 }
 
 TEST(NetIntegrationTest, PaxosGroupChoosesIdenticalLogOverLoopbackTcp) {
-    run_paxos_over_loopback(41, /*shards=*/0);
-}
-
-TEST(NetIntegrationTest, PaxosGroupChoosesIdenticalLogAcrossFourShards) {
-    run_paxos_over_loopback(59, /*shards=*/4);
+    run_paxos_over_loopback(41);
 }
 
 }  // namespace

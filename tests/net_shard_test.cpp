@@ -1,11 +1,11 @@
-// Unit and integration coverage of the sharded transport primitives
-// (net/shard.hpp, net/send_queue.hpp) and the multi-loop NetWorld:
-// affinity properties, mailbox wake semantics, writev coalescing (the
+// Unit and integration coverage of the transport primitives
+// (net/shard.hpp, net/send_queue.hpp) and of NetWorlds hosting several
+// processes each: mailbox wake semantics, writev coalescing (the
 // one-syscall-per-burst contract and its budget/partial-write edge
-// cases), reconnect/retransmit when the channel lives on a non-primary
-// shard, and the one-read-per-readiness-event receive path under mixed
-// frame sizes and a one-sided close. The cross-world tests double as the
-// TSan stress target (CI runs this binary under -fsanitize=thread).
+// cases), reconnect/retransmit across every channel of a world, and the
+// one-read-per-readiness-event receive path under mixed frame sizes and a
+// one-sided close. The cross-world tests double as the TSan stress target
+// (CI runs this binary under -fsanitize=thread).
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -15,7 +15,6 @@
 #include <atomic>
 #include <cstring>
 #include <mutex>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -29,53 +28,6 @@
 
 namespace wbam::net {
 namespace {
-
-// --- affinity ----------------------------------------------------------------
-
-TEST(ShardAffinityTest, TotalStableAndSymmetric) {
-    for (const int shards : {1, 2, 4, 7, 64}) {
-        for (ProcessId a = 0; a < 40; ++a) {
-            for (ProcessId b = 0; b < 40; ++b) {
-                const int s = shard_for(a, b, shards);
-                EXPECT_GE(s, 0);
-                EXPECT_LT(s, shards);
-                EXPECT_EQ(s, shard_for(a, b, shards)) << "stable";
-                EXPECT_EQ(s, shard_for(b, a, shards)) << "symmetric";
-            }
-        }
-    }
-}
-
-TEST(ShardAffinityTest, SingleShardAlwaysZero) {
-    EXPECT_EQ(shard_for(3, 9, 1), 0);
-    EXPECT_EQ(shard_for(3, 9, 0), 0);
-    EXPECT_EQ(shard_for(3, 9, -2), 0);
-}
-
-TEST(ShardAffinityTest, PairsSpreadAcrossShards) {
-    const int shards = 4;
-    std::vector<int> hits(static_cast<std::size_t>(shards), 0);
-    int pairs = 0;
-    for (ProcessId a = 0; a < 32; ++a) {
-        for (ProcessId b = a + 1; b < 32; ++b) {
-            ++hits[static_cast<std::size_t>(shard_for(a, b, shards))];
-            ++pairs;
-        }
-    }
-    // Full-avalanche mix: every shard owns a healthy share (>= half of a
-    // perfectly even split).
-    for (const int h : hits) EXPECT_GE(h, pairs / shards / 2);
-}
-
-TEST(ShardAffinityTest, ResolveShardCount) {
-    EXPECT_EQ(resolve_shard_count(1), 1);
-    EXPECT_EQ(resolve_shard_count(4), 4);
-    EXPECT_EQ(resolve_shard_count(64), 64);
-    EXPECT_EQ(resolve_shard_count(100), 64);  // explicit cap
-    const int auto_count = resolve_shard_count(0);
-    EXPECT_GE(auto_count, 1);
-    EXPECT_LE(auto_count, 8);
-}
 
 // --- wake fd + mailbox -------------------------------------------------------
 
@@ -99,7 +51,8 @@ TEST(MailboxTest, PushReportsEmptyToNonEmptyTransitionOnly) {
     Mailbox<int> m;
     EXPECT_TRUE(m.push(1));   // empty -> non-empty
     EXPECT_FALSE(m.push(2));  // already non-empty: no second wake needed
-    const auto batch = m.drain();
+    std::vector<int> batch;
+    m.drain(batch);
     ASSERT_EQ(batch.size(), 2u);
     EXPECT_EQ(batch[0], 1);
     EXPECT_EQ(batch[1], 2);
@@ -122,8 +75,9 @@ TEST(MailboxTest, MpscStressKeepsPerProducerOrderAndWakeInvariant) {
     std::vector<int> next(producers, 0);
     std::size_t drained = 0;
     std::uint64_t drains_from_nonempty = 0;
+    std::vector<std::pair<int, int>> batch;
     while (drained < producers * per_producer) {
-        const auto batch = m.drain();
+        m.drain(batch);
         if (batch.empty()) {
             std::this_thread::yield();
             continue;
@@ -399,7 +353,7 @@ TEST(SendQueueTest, AckPrunesAndRequeueReplaysUnackedInOrder) {
     EXPECT_EQ(fills[4], 0x03);
 }
 
-// --- multi-shard worlds ------------------------------------------------------
+// --- multi-process worlds ----------------------------------------------------
 
 // Echoes every message back to its sender.
 class Echo final : public Process {
@@ -451,9 +405,8 @@ struct PairedWorlds {
     std::unique_ptr<NetWorld> ping_world;
     std::unique_ptr<NetWorld> echo_world;
 
-    explicit PairedWorlds(int shards) {
+    PairedWorlds() {
         NetConfig cfg;
-        cfg.shards = shards;
         cfg.epoch = std::chrono::steady_clock::now();
         ping_world = std::make_unique<NetWorld>(topo, 101, cfg);
         echo_world = std::make_unique<NetWorld>(topo, 202, cfg);
@@ -485,23 +438,10 @@ struct PairedWorlds {
     }
 };
 
-TEST(NetShardTest, ExplicitShardCountIsResolved) {
-    const Topology topo(1, 1, 1);
-    NetConfig cfg;
-    cfg.shards = 4;
-    NetWorld world(topo, 1, cfg);
-    EXPECT_EQ(world.shard_count(), 4);
-}
-
-TEST(NetShardTest, AllPairsCompleteAcrossFourShards) {
-    PairedWorlds w(4);
-    // The channels genuinely spread over loops: with 4 pairs on 4 shards at
-    // least two distinct shards own traffic (deterministic affinity).
-    std::set<int> owners;
-    for (ProcessId p = 0; p < 2 * PairedWorlds::pairs; p += 2)
-        owners.insert(shard_for(p, p + 1, 4));
-    EXPECT_GE(owners.size(), 2u);
-
+// Four ping processes in one world, four echo processes in another: every
+// world multiplexes four channels on its one loop.
+TEST(PairedWorldsTest, AllPairsComplete) {
+    PairedWorlds w;
     w.echo_world->start();
     w.ping_world->start();
     EXPECT_TRUE(w.await(w.target(), seconds(30)));
@@ -510,19 +450,12 @@ TEST(NetShardTest, AllPairsCompleteAcrossFourShards) {
     EXPECT_EQ(w.completed.load(), w.target());
 }
 
-TEST(NetShardTest, ReconnectRetransmitsOnNonPrimaryShard) {
-    PairedWorlds w(4);
-    // Precondition for the test's name: some channel lives on shard != 0.
-    bool non_primary = false;
-    for (ProcessId p = 0; p < 2 * PairedWorlds::pairs; p += 2)
-        non_primary |= shard_for(p, p + 1, 4) != 0;
-    ASSERT_TRUE(non_primary);
-
+TEST(PairedWorldsTest, ReconnectRetransmitsEveryPair) {
+    PairedWorlds w;
     w.echo_world->start();
     w.ping_world->start();
     // Let some traffic flow, then sever every connection on both sides —
-    // unacked frames must retransmit over re-dialled sockets, wherever
-    // their owning loop lives.
+    // unacked frames must retransmit over re-dialled sockets.
     ASSERT_TRUE(w.await(w.target() / 4, seconds(30)));
     w.ping_world->drop_connections();
     w.echo_world->drop_connections();
@@ -591,7 +524,6 @@ enum class Closer { sender, receiver };
 // the channel must lose, duplicate and reorder nothing.
 void stream_mixed_sizes_across_close(Closer closer) {
     NetConfig cfg;
-    cfg.shards = 2;
     cfg.epoch = std::chrono::steady_clock::now();
     const Topology topo(1, 1, 1);
     NetWorld tx_world(topo, 31, cfg);

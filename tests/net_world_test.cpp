@@ -1,8 +1,9 @@
 // Runtime-primitive tests for the TCP runtime: a pair of NetWorlds wired
 // over loopback by harness::make_loopback_worlds (one world per process,
-// each with its own poll loops). Covers the Context contract the protocols
-// rely on — FIFO channels, timers and their cancellation, and run_on
-// injection on the target's own context. No exact-timing assertions
+// each with its own poll loop). Covers the Context contract the protocols
+// rely on — FIFO channels, timers and their cancellation, run_on
+// injection on the target's own context, and one loop thread running
+// every callback of every process a world hosts. No exact-timing assertions
 // (wall-clock scheduling jitter), only ordering, counts and identities.
 // Full protocol runs over the same wiring live in net_integration_test.
 #include <gtest/gtest.h>
@@ -10,8 +11,10 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "harness/live_cluster.hpp"
 
@@ -142,6 +145,91 @@ TEST(NetWorldTest, RunOnExecutesOnTargetContextAndSelfSendIsDelivered) {
     ASSERT_EQ(b->received.size(), 1u);
     EXPECT_EQ(b->received[0], Bytes{0x7e});
     EXPECT_EQ(pair.probes[0]->received_count(), 0u);
+}
+
+// Records the thread each kind of callback ran on: on_start, the first
+// message, and a timer it sets for itself in on_start.
+class ThreadProbe final : public Process {
+public:
+    void on_start(Context& ctx) override {
+        const std::lock_guard<std::mutex> guard(mutex);
+        started_on = std::this_thread::get_id();
+        ctx.set_timer(milliseconds(1));
+    }
+    void on_message(Context&, ProcessId, const BufferSlice&) override {
+        const std::lock_guard<std::mutex> guard(mutex);
+        if (received_on == std::thread::id{})
+            received_on = std::this_thread::get_id();
+    }
+    void on_timer(Context&, TimerId) override {
+        const std::lock_guard<std::mutex> guard(mutex);
+        fired_on = std::this_thread::get_id();
+    }
+
+    bool complete() const {
+        const std::lock_guard<std::mutex> guard(mutex);
+        return received_on != std::thread::id{} &&
+               fired_on != std::thread::id{};
+    }
+
+    mutable std::mutex mutex;
+    std::thread::id started_on;
+    std::thread::id received_on;
+    std::thread::id fired_on;
+};
+
+// Sends one message to each of `peers` from on_start.
+class Greeter final : public Process {
+public:
+    explicit Greeter(std::vector<ProcessId> peers) : peers_(std::move(peers)) {}
+    void on_start(Context& ctx) override {
+        for (const ProcessId p : peers_) ctx.send(p, Bytes{0x01});
+    }
+    void on_message(Context&, ProcessId, const BufferSlice&) override {}
+    void on_timer(Context&, TimerId) override {}
+
+private:
+    std::vector<ProcessId> peers_;
+};
+
+// A world with the default config hosts processes 0 and 1; process 2,
+// in a second world, messages both. Every callback of both hosted
+// processes runs on the one loop thread of their world.
+TEST(NetWorldTest, OneWorldRunsEveryProcessOnOneThread) {
+    const Topology topo(1, 1, 2);
+    net::NetConfig cfg;
+    cfg.epoch = std::chrono::steady_clock::now();
+    net::NetWorld both(topo, 1, cfg);
+    net::NetWorld other(topo, 2, cfg);
+    auto owned0 = std::make_unique<ThreadProbe>();
+    auto owned1 = std::make_unique<ThreadProbe>();
+    const ThreadProbe* probes[2] = {owned0.get(), owned1.get()};
+    both.add_process(0, std::move(owned0));
+    both.add_process(1, std::move(owned1));
+    other.add_process(2,
+                      std::make_unique<Greeter>(std::vector<ProcessId>{0, 1}));
+    net::ClusterMap map;
+    map.endpoints = {{"127.0.0.1", both.port_of(0)},
+                     {"127.0.0.1", both.port_of(1)},
+                     {"127.0.0.1", other.port_of(2)}};
+    both.set_cluster(map);
+    other.set_cluster(map);
+    both.start();
+    other.start();
+    EXPECT_TRUE(wait_until(
+        [&] { return probes[0]->complete() && probes[1]->complete(); },
+        std::chrono::seconds(10)));
+    other.shutdown();
+    both.shutdown();
+
+    const std::thread::id loop = probes[0]->started_on;
+    EXPECT_NE(loop, std::thread::id{});
+    EXPECT_NE(loop, std::this_thread::get_id());
+    for (const ThreadProbe* p : probes) {
+        EXPECT_EQ(p->started_on, loop);
+        EXPECT_EQ(p->received_on, loop);
+        EXPECT_EQ(p->fired_on, loop);
+    }
 }
 
 }  // namespace
